@@ -51,7 +51,6 @@ from .formulas import (
     defective_ramsey,
     forest_formula,
     ramsey_value,
-    small_cases,
     split_conjecture_value,
     split_formula,
 )

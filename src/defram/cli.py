@@ -7,10 +7,11 @@ Exit codes: 0 success/confirmed, 1 refuted or counterexample found,
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
-from dataclasses import dataclass
+from functools import partial
 
 from .classes import GraphClass, member
 from .defects import alpha_k, ramsey_check
@@ -27,16 +28,6 @@ EXIT_USAGE = 2
 EXIT_REFUSED = 3
 
 
-@dataclass
-class CliConfig:
-    budget: int | None = None
-    workers: int = 1
-    seed: int = 0
-    json_output: bool = False
-    out_path: str | None = None
-    lines: list[str] | None = None
-
-
 def _load_graphs(arg: str) -> list[Graph]:
     """Interpret the argument as a file of graph6 lines if it names a
     file, else as a single graph6 line."""
@@ -47,45 +38,32 @@ def _load_graphs(arg: str) -> list[Graph]:
     return [graph6_decode(arg)]
 
 
-def _emit(cfg: CliConfig, text: str):
-    if cfg.out_path:
-        cfg.lines.append(text)
-    else:
-        print(text)
-
-
-def _flush(cfg: CliConfig):
-    if cfg.out_path and cfg.lines:
-        with open(cfg.out_path, "w", encoding="ascii") as fh:
-            fh.write("\n".join(cfg.lines) + "\n")
-
-
 def _set_str(mask: int) -> str:
     return "{" + ",".join(str(v) for v in bits(mask)) + "}"
 
 
-def _cmd_formula(args, cfg: CliConfig) -> int:
+def _cmd_formula(args, emit) -> int:
     value = defective_ramsey(RamseyQuery(args.cls, args.k, args.i, args.j))
-    _emit(cfg, json.dumps(value.to_json()) if cfg.json_output else str(value))
+    emit(json.dumps(value.to_json()) if args.json else str(value))
     return EXIT_OK
 
 
-def _cmd_alpha(args, cfg: CliConfig) -> int:
+def _cmd_alpha(args, emit) -> int:
     results = []
     for g in _load_graphs(args.graph):
         target = complement(g) if args.dense else g
         size, witness = alpha_k(target, args.k)
         results.append({"order": g.n, "alpha": size, "witness": _set_str(witness)})
-    if cfg.json_output:
-        _emit(cfg, json.dumps(results))
+    if args.json:
+        emit(json.dumps(results))
     else:
         kind = "dense" if args.dense else "sparse"
         for r in results:
-            _emit(cfg, f"max {kind} set, k={args.k}: {r['alpha']} {r['witness']}")
+            emit(f"max {kind} set, k={args.k}: {r['alpha']} {r['witness']}")
     return EXIT_OK
 
 
-def _cmd_check(args, cfg: CliConfig) -> int:
+def _cmd_check(args, emit) -> int:
     found_counterexample = False
     results = []
     for g in _load_graphs(args.graph):
@@ -93,8 +71,8 @@ def _cmd_check(args, cfg: CliConfig) -> int:
         if rep.neither:
             found_counterexample = True
         results.append(rep)
-    if cfg.json_output:
-        _emit(cfg, json.dumps([{
+    if args.json:
+        emit(json.dumps([{
             "has_dense": r.has_dense, "has_sparse": r.has_sparse,
             "dense_witness": _set_str(r.dense_witness) if r.has_dense else None,
             "sparse_witness": _set_str(r.sparse_witness) if r.has_sparse else None,
@@ -106,66 +84,66 @@ def _cmd_check(args, cfg: CliConfig) -> int:
                 parts.append(f"dense witness {_set_str(r.dense_witness)}")
             if r.has_sparse:
                 parts.append(f"sparse witness {_set_str(r.sparse_witness)}")
-            _emit(cfg, "; ".join(parts) if parts else "neither (counterexample)")
+            emit("; ".join(parts) if parts else "neither (counterexample)")
     return EXIT_REFUTED if found_counterexample else EXIT_OK
 
 
-def _cmd_witness(args, cfg: CliConfig) -> int:
+def _cmd_witness(args, emit) -> int:
     g = witness_for(RamseyQuery(args.cls, args.k, args.i, args.j))
     if g is None:
         print("no construction for this cell (open, conjectured, or unconstructed)",
               file=sys.stderr)
         return EXIT_REFUSED
-    _emit(cfg, graph6_encode(g))
+    emit(graph6_encode(g))
     return EXIT_OK
 
 
-def _cmd_enumerate(args, cfg: CliConfig) -> int:
-    for g in enumerate_class(args.cls, args.n, cfg.budget, cfg.workers):
-        _emit(cfg, graph6_encode(g))
+def _cmd_enumerate(args, emit) -> int:
+    for g in enumerate_class(args.cls, args.n, args.budget, args.workers):
+        emit(graph6_encode(g))
     return EXIT_OK
 
 
-def _cmd_verify(args, cfg: CliConfig) -> int:
+def _cmd_verify(args, emit) -> int:
     report = verify_value(args.cls, args.k, args.i, args.j, args.claimed,
-                          cfg.budget, cfg.workers)
-    if cfg.json_output:
-        _emit(cfg, json.dumps(report.to_json()))
+                          args.budget, args.workers)
+    if args.json:
+        emit(json.dumps(report.to_json()))
     else:
-        _emit(cfg, f"examined {report.examined} graphs in {report.elapsed:.2f}s")
+        emit(f"examined {report.examined} graphs in {report.elapsed:.2f}s")
         if report.confirmed:
-            _emit(cfg, f"confirmed: value {args.claimed} for "
-                       f"{args.cls.value} k={args.k} i={args.i} j={args.j}")
+            emit(f"confirmed: value {args.claimed} for "
+                 f"{args.cls.value} k={args.k} i={args.i} j={args.j}")
         elif not report.all_pass:
-            _emit(cfg, f"refuted: counterexamples at order {args.claimed}: "
-                       + " ".join(report.counterexamples))
+            emit(f"refuted: counterexamples at order {args.claimed}: "
+                 + " ".join(report.counterexamples))
         else:
-            _emit(cfg, f"refuted: no witness graph at order {args.claimed - 1}, "
-                       f"the true value is smaller")
+            emit(f"refuted: no witness graph at order {args.claimed - 1}, "
+                 f"the true value is smaller")
     return EXIT_OK if report.confirmed else EXIT_REFUTED
 
 
-def _cmd_hunt(args, cfg: CliConfig) -> int:
+def _cmd_hunt(args, emit) -> int:
     g = hunt_witness(args.cls, args.k, args.i, args.j, args.n,
-                     budget=args.hunt_budget, seed=cfg.seed)
+                     budget=args.hunt_budget, seed=args.seed)
     if g is None:
-        _emit(cfg, "no witness found (proves nothing)")
+        emit("no witness found (proves nothing)")
         return EXIT_REFUTED
-    _emit(cfg, graph6_encode(g))
+    emit(graph6_encode(g))
     return EXIT_OK
 
 
-def _cmd_classify(args, cfg: CliConfig) -> int:
+def _cmd_classify(args, emit) -> int:
     for g in _load_graphs(args.graph):
         names = [c.value for c in GraphClass if c is not GraphClass.ALL and member(g, c)]
-        _emit(cfg, json.dumps(names) if cfg.json_output else
+        emit(json.dumps(names) if args.json else
               (",".join(names) if names else "(none)"))
     return EXIT_OK
 
 
-def _cmd_cg_check(args, cfg: CliConfig) -> int:
+def _cmd_cg_check(args, emit) -> int:
     verdict = cg_inequality(args.cls, args.k, args.i, args.j)
-    _emit(cfg, json.dumps({"verdict": verdict}) if cfg.json_output else verdict)
+    emit(json.dumps({"verdict": verdict}) if args.json else verdict)
     if verdict == "holds":
         return EXIT_OK
     if verdict == "fails":
@@ -241,23 +219,19 @@ def run_cli(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    cfg = CliConfig(
-        budget=args.budget,
-        workers=args.workers,
-        seed=getattr(args, "seed", 0),
-        json_output=args.json,
-        out_path=getattr(args, "out", None),
-        lines=[],
-    )
+    out_path = getattr(args, "out", None)
+    sink = io.StringIO() if out_path else None  # None: the current sys.stdout
     try:
-        code = args.func(args, cfg)
+        code = args.func(args, partial(print, file=sink))
     except Graph6Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (BudgetError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REFUSED
-    _flush(cfg)
+    if out_path and sink.getvalue():
+        with open(out_path, "w", encoding="ascii") as fh:
+            fh.write(sink.getvalue())
     return code
 
 

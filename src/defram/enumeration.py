@@ -4,7 +4,9 @@ Graphs of order m arise by attaching a new vertex to every order-(m-1)
 graph of the class; an extension is kept only when the new vertex sits in
 the automorphism orbit of the canonical deletion target, and attachment
 neighbourhoods are deduplicated by parent-automorphism orbits, so each
-isomorphism class appears exactly once without storing past levels.
+isomorphism class appears exactly once.  One generator yields the levels
+in turn, holding only the level it extends; only ``enumerate_levels``
+keeps them all, the other callers keep at most the last two.
 """
 
 from __future__ import annotations
@@ -12,6 +14,9 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
+from collections import deque
+from collections.abc import Iterator
+from contextlib import closing
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -20,7 +25,7 @@ from .classes import GraphClass, member
 from .defects import ramsey_check
 from .formulas import RamseyValue
 from .graph6 import graph6_encode
-from .graphs import DomainError, Graph, bits
+from .graphs import DomainError, Graph
 
 ENV_BUDGET = "DEFRAM_BUDGET"
 DEFAULT_BUDGETS = {GraphClass.FOREST: 12, GraphClass.SPLIT: 12}
@@ -84,10 +89,11 @@ def _extend_parent(parent: Graph, cls: GraphClass) -> list[Graph]:
     return children
 
 
-def enumerate_levels(cls: GraphClass, n: int, budget: int | None = None,
-                     workers: int = 1) -> list[list[Graph]]:
-    """Lists of all class members of each order 0..n, one per isomorphism
-    class, in a deterministic order."""
+def _levels(cls: GraphClass, n: int, budget: int | None = None,
+            workers: int = 1) -> Iterator[list[Graph]]:
+    """Yield the class members of each order 0..n in turn, one per
+    isomorphism class, in a deterministic order; only the level being
+    extended is kept."""
     cap = order_budget(cls, budget)
     if n > cap:
         raise BudgetError(
@@ -95,30 +101,40 @@ def enumerate_levels(cls: GraphClass, n: int, budget: int | None = None,
             f"budget or set {ENV_BUDGET}")
     if n < 0:
         raise DomainError("order must be >= 0")
-    levels: list[list[Graph]] = [[Graph(0, ())]]
+    if workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
+    workers = min(workers, os.cpu_count() or 1)
+    level = [Graph(0, ())]
     pool = None
     try:
         if workers > 1:
             pool = multiprocessing.get_context("fork").Pool(workers)
-        for m in range(1, n + 1):
-            parents = levels[m - 1]
-            if pool is not None and len(parents) > 4 * workers:
-                chunks = pool.map(partial(_extend_parent, cls=cls), parents,
-                                  chunksize=max(1, len(parents) // (4 * workers)))
+        yield level
+        for _ in range(n):
+            if pool is not None and len(level) > 4 * workers:
+                chunks = pool.map(partial(_extend_parent, cls=cls), level,
+                                  chunksize=max(1, len(level) // (4 * workers)))
             else:
-                chunks = [_extend_parent(p, cls) for p in parents]
-            levels.append([g for chunk in chunks for g in chunk])
+                chunks = [_extend_parent(p, cls) for p in level]
+            level = [g for chunk in chunks for g in chunk]
+            yield level
     finally:
         if pool is not None:
             pool.close()
             pool.join()
-    return levels
+
+
+def enumerate_levels(cls: GraphClass, n: int, budget: int | None = None,
+                     workers: int = 1) -> list[list[Graph]]:
+    """Lists of all class members of each order 0..n, one per isomorphism
+    class, in a deterministic order."""
+    return list(_levels(cls, n, budget, workers))
 
 
 def enumerate_class(cls: GraphClass, n: int, budget: int | None = None,
                     workers: int = 1) -> list[Graph]:
     """All class members of order n, one per isomorphism class."""
-    return enumerate_levels(cls, n, budget, workers)[n]
+    return deque(_levels(cls, n, budget, workers), maxlen=1).pop()
 
 
 @dataclass
@@ -159,17 +175,17 @@ def verify_value(cls: GraphClass, k: int, i: int, j: int, claimed: int,
     if claimed < 1:
         raise DomainError("claimed value must be >= 1")
     start = time.perf_counter()
-    levels = enumerate_levels(cls, claimed, budget, workers)
-    counterexamples = [graph6_encode(g) for g in levels[claimed]
+    below, top = deque(_levels(cls, claimed, budget, workers), maxlen=2)
+    counterexamples = [graph6_encode(g) for g in top
                        if ramsey_check(g, k, i, j).neither]
     lower_witness = None
-    for g in levels[claimed - 1]:
+    for g in below:
         if ramsey_check(g, k, i, j).neither:
             lower_witness = graph6_encode(g)
             break
     return EnumerationReport(
         cls=cls, order=claimed, k=k, i=i, j=j,
-        examined=len(levels[claimed]) + len(levels[claimed - 1]),
+        examined=len(top) + len(below),
         all_pass=not counterexamples,
         counterexamples=counterexamples,
         lower_witness=lower_witness,
@@ -182,8 +198,8 @@ def compute_ramsey_exhaustive(cls: GraphClass, k: int, i: int, j: int,
                               workers: int = 1) -> RamseyValue | None:
     """Smallest order at which every enumerated class graph holds a
     witness set, or None if none up to ``n_max``."""
-    levels = enumerate_levels(cls, n_max, budget, workers)
-    for n in range(1, n_max + 1):
-        if all(not ramsey_check(g, k, i, j).neither for g in levels[n]):
-            return RamseyValue.exact(n, "exhaustive")
+    with closing(_levels(cls, n_max, budget, workers)) as levels:  # ends the pool early
+        for n, level in enumerate(levels):
+            if n and all(not ramsey_check(g, k, i, j).neither for g in level):
+                return RamseyValue.exact(n, "exhaustive")
     return None

@@ -86,21 +86,13 @@ class RamseyValue:
         return f"Conjectured {self.value} [{self.lo}..{self.hi}] ({self.provenance})"
 
 
-def small_cases(k: int, i: int, j: int) -> int | None:
+def _small_value(k: int, i: int, j: int) -> RamseyValue | None:
     """Values forced for every class: tiny targets and i = k + 2.
 
     min(i, j) <= k+1 makes every set of that size both sparse and dense;
     i = k+2 pins the value to j.  The j = k+2 mirror applies only to
     self-complementary classes and lives in their dispatchers.
     """
-    if min(i, j) <= k + 1:
-        return min(i, j)
-    if i == k + 2:
-        return j
-    return None
-
-
-def _small_value(k: int, i: int, j: int) -> RamseyValue | None:
     if min(i, j) <= k + 1:
         return RamseyValue.exact(min(i, j), "small-min")
     if i == k + 2:

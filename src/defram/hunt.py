@@ -14,7 +14,7 @@ import random
 
 from .classes import GraphClass, member
 from .defects import alpha_k, ramsey_check
-from .graphs import Graph, bits, complement, empty_graph, make_graph
+from .graphs import Graph, bits, complement, empty_graph
 
 DEFAULT_HUNT_BUDGET = 20000
 
@@ -34,17 +34,26 @@ def _score(g: Graph, k: int, i: int, j: int):
             d_set if d_excess else 0)
 
 
+def _toggle(g: Graph, *pairs: tuple[int, int]) -> Graph:
+    """``g`` with the adjacency of each vertex pair flipped."""
+    adj = list(g.adj)
+    for u, v in pairs:
+        adj[u] ^= 1 << v
+        adj[v] ^= 1 << u
+    return Graph(g.n, tuple(adj))
+
+
 def _random_member(cls: GraphClass, n: int, rng: random.Random) -> Graph:
     """A random class member: greedy random edge insertions from empty."""
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     rng.shuffle(pairs)
-    edges: list[tuple[int, int]] = []
-    for u, v in pairs:
+    g = empty_graph(n)
+    for pair in pairs:
         if rng.random() < 0.35:
-            candidate = make_graph(n, edges + [(u, v)])
+            candidate = _toggle(g, pair)
             if member(candidate, cls):
-                edges.append((u, v))
-    return make_graph(n, edges)
+                g = candidate
+    return g
 
 
 def _sparse_repair(g: Graph, rng: random.Random, sparse_set: int) -> tuple[int, int] | None:
@@ -71,30 +80,26 @@ def _mutate(g: Graph, rng: random.Random, sparse_set: int, dense_set: int) -> Gr
             add = _sparse_repair(g, rng, sparse_set)
             drop = _dense_repair(g, rng, dense_set)
             if add and drop:
-                return make_graph(n, [e for e in g.edges() if e != drop] + [add])
+                return _toggle(g, drop, add)
         if sparse_set and (not dense_set or rng.random() < 0.5):
             add = _sparse_repair(g, rng, sparse_set)
             if add:
-                return make_graph(n, g.edges() + [add])
+                return _toggle(g, add)
         else:
             drop = _dense_repair(g, rng, dense_set)
             if drop:
-                return make_graph(n, [e for e in g.edges() if e != drop])
+                return _toggle(g, drop)
     present = g.edges()
     absent = [(u, v) for u in range(n) for v in range(u + 1, n)
               if not g.has_edge(u, v)]
     move = rng.randrange(3)
-    edges = list(present)
     if move == 0 and absent:          # add
-        edges.append(rng.choice(absent))
-    elif move == 1 and present:       # remove
-        edges.remove(rng.choice(present))
-    elif move == 2 and present and absent:  # swap
-        edges.remove(rng.choice(present))
-        edges.append(rng.choice(absent))
-    else:
-        return None
-    return make_graph(n, edges)
+        return _toggle(g, rng.choice(absent))
+    if move == 1 and present:         # remove
+        return _toggle(g, rng.choice(present))
+    if move == 2 and present and absent:  # swap: draws present, then absent
+        return _toggle(g, rng.choice(present), rng.choice(absent))
+    return None
 
 
 def hunt_witness(cls: GraphClass, k: int, i: int, j: int, n: int,

@@ -1,6 +1,6 @@
 import pytest
 
-from defram import enumerate_levels
+from defram import enumerate_class, enumerate_levels
 from defram.classes import GraphClass
 
 
@@ -18,4 +18,4 @@ def all_levels_6(all_levels_7):
 @pytest.fixture(scope="session")
 def all_graphs_8():
     """Every graph of order 8 (12346 classes); built only when needed."""
-    return enumerate_levels(GraphClass.ALL, 8, budget=8)[8]
+    return enumerate_class(GraphClass.ALL, 8, budget=8)

@@ -72,6 +72,20 @@ def test_hunt_deterministic_output(capsys):
     assert code1 == code2 == 0 and out1 == out2
 
 
+def test_hunt_output_is_pinned(capsys):
+    code, out = run(capsys, "hunt", "split", "-k", "2", "-i", "5", "-j", "9", "-n", "11",
+                    "--hunt-budget", "5000", "--seed", "7")
+    assert code == 0 and out == "J_?C?A?bTo_"
+
+
+def test_worker_count_below_one_is_refused(capsys):
+    for bad in ("0", "-1"):
+        assert run_cli(["--workers", bad, "enumerate", "forest", "-n", "3"]) == 3
+        assert run_cli(["--workers", bad, "verify", "forest", "-k", "1", "-i", "4",
+                        "-j", "4", "--claimed", "5"]) == 3
+    assert "workers must be >= 1" in capsys.readouterr().err
+
+
 def test_classify(capsys):
     code, out = run(capsys, "classify", C4)
     assert code == 0 and out == "cactus,bipartite,cograph"
@@ -108,3 +122,10 @@ def test_out_file_is_overwritten(tmp_path, capsys):
     lines = path.read_text().splitlines()
     assert len(lines) == 6
     assert all(graph6_decode(ln).n == 4 for ln in lines)
+
+
+def test_refused_witness_writes_no_file(tmp_path, capsys):
+    path = tmp_path / "witness.g6"
+    code, _ = run(capsys, "witness", "bipartite", "-k", "1", "-i", "4", "-j", "10",
+                  "--out", str(path))
+    assert code == 3 and not path.exists()

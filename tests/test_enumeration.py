@@ -1,7 +1,10 @@
+import hashlib
+import os
 from itertools import combinations
 
 import pytest
 
+import defram.enumeration
 from defram import (
     BudgetError,
     GraphClass,
@@ -9,6 +12,7 @@ from defram import (
     compute_ramsey_exhaustive,
     enumerate_class,
     enumerate_levels,
+    graph6_encode,
     make_graph,
     member,
     verify_value,
@@ -63,12 +67,39 @@ def test_determinism_and_parallel_merge():
     assert parallel == serial_a
 
 
-def test_budget_refusal():
+def test_budget_refusal(all_graphs_8):
     with pytest.raises(BudgetError):
         enumerate_class(ALL, 11)
     with pytest.raises(BudgetError):
         enumerate_class(GraphClass.FOREST, 13)
-    assert len(enumerate_class(ALL, 8, budget=8)) == 12346
+    assert len(all_graphs_8) == 12346
+
+
+def test_worker_count_is_clamped_to_cpu_count(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(defram.enumeration.multiprocessing, "get_context", no_pool)
+    assert (enumerate_levels(GraphClass.BIPARTITE, 6, workers=100000)
+            == enumerate_levels(GraphClass.BIPARTITE, 6))
+
+
+STREAM_SHA256 = {
+    ALL: "8b5f47b60a05ca8d512b1a5db8abe295859ff09949de380e77769942fd432b7c",
+    GraphClass.FOREST: "7bef7785defb8008961c68961980e1b531beeb216ff76e7abddf6cfde1b40f51",
+    GraphClass.CACTUS: "7cfee25992dfe786a8806abb5df2602114c4f64722b3d39c6451b98937f63b9c",
+    GraphClass.BIPARTITE: "0d11273860ddc0ece0f6e7235235e9259cd31aea1d482ead33e85ce6e313532c",
+    GraphClass.SPLIT: "b9e157616059c0cc8027684c08f2fccc39333d94bc1d626886419e9ad0eb767f",
+    GraphClass.COGRAPH: "fe2fa5ea2e103c7c77f501949f033d259d7df16bfa4400f889e1a8dbc400d9ee",
+}
+
+
+@pytest.mark.parametrize("cls", list(STREAM_SHA256), ids=lambda c: c.value)
+def test_stream_is_pinned(cls, all_levels_7):
+    levels = all_levels_7 if cls is ALL else enumerate_levels(cls, 7)
+    stream = "".join(graph6_encode(g) + "\n" for level in levels for g in level)
+    assert hashlib.sha256(stream.encode()).hexdigest() == STREAM_SHA256[cls]
 
 
 def test_budget_env_override(monkeypatch):
@@ -92,6 +123,26 @@ def test_verify_value_rejects_wrong_claims():
     rep = verify_value(GraphClass.FOREST, 1, 4, 4, 6)
     assert not rep.confirmed and rep.all_pass  # no order-5 counterexample
     assert rep.lower_witness is None
+
+
+def test_verify_value_report_is_pinned():
+    rep = verify_value(GraphClass.BIPARTITE, 1, 4, 5, 6)
+    assert rep.counterexamples == ["E?oo", "E?qo", "E?ow", "ECp_", "EEh_"]
+    assert rep.lower_witness == "D?o" and rep.examined == 48
+
+
+def test_compute_ramsey_exhaustive_stops_at_first_passing_order(monkeypatch):
+    extend = defram.enumeration._extend_parent
+    parent_orders = set()
+
+    def spy(parent, cls):
+        parent_orders.add(parent.n)
+        return extend(parent, cls)
+
+    monkeypatch.setattr(defram.enumeration, "_extend_parent", spy)
+    v = compute_ramsey_exhaustive(GraphClass.FOREST, 1, 4, 4, 12)
+    assert v is not None and v.value == 5
+    assert max(parent_orders) == 4  # nothing of order 6 or above was built
 
 
 def test_compute_ramsey_exhaustive_examples():

@@ -9,19 +9,19 @@ from defram import (
     cg_inequality,
     defective_ramsey,
     ramsey_value,
-    small_cases,
     split_conjecture_value,
 )
+from defram.formulas import _small_value
 
 FO, CA, BIP, SP, CO = (GraphClass.FOREST, GraphClass.CACTUS, GraphClass.BIPARTITE,
                        GraphClass.SPLIT, GraphClass.COGRAPH)
 
 
 def test_small_cases():
-    assert small_cases(3, 2, 10) == 2
-    assert small_cases(1, 3, 5) == 5
-    assert small_cases(1, 5, 5) is None
-    assert small_cases(0, 1, 9) == 1
+    assert _small_value(3, 2, 10).value == 2
+    assert _small_value(1, 3, 5).value == 5
+    assert _small_value(1, 5, 5) is None
+    assert _small_value(0, 1, 9).value == 1
 
 
 def test_query_validation():
