@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Re-derive small values from scratch and compare with the closed forms.
 
-For each cell the search enumerates every class member order by order
-(one representative per isomorphism class) until all of them contain a
-witness set, then checks the order below still has a counterexample.
+For each cell the search grows the good class members order by order
+(one representative per isomorphism class, holding neither witness set;
+only good graphs are extended, since every induced subgraph of a good
+graph is good) until an order has none, then checks that the order
+below has one.
 """
 
 from defram import (
@@ -33,7 +35,7 @@ def main() -> None:
         print(f"{cls.value:>9} k={k} ({i},{j}): formula {formula.value} "
               f"[{formula.provenance}], exhaustive {found.value if found else '?'} "
               f"-> {status}; confirmed={report.confirmed} "
-              f"({report.examined} graphs, {report.elapsed:.2f}s)")
+              f"({report.examined} good graphs, {report.elapsed:.2f}s)")
 
 
 if __name__ == "__main__":

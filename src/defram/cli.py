@@ -110,7 +110,7 @@ def _cmd_verify(args, emit) -> int:
     if args.json:
         emit(json.dumps(report.to_json()))
     else:
-        emit(f"examined {report.examined} graphs in {report.elapsed:.2f}s")
+        emit(f"examined {report.examined} good graphs in {report.elapsed:.2f}s")
         if report.confirmed:
             emit(f"confirmed: value {args.claimed} for "
                  f"{args.cls.value} k={args.k} i={args.i} j={args.j}")
@@ -222,6 +222,8 @@ def run_cli(argv: list[str] | None = None) -> int:
     out_path = getattr(args, "out", None)
     sink = io.StringIO() if out_path else None  # None: the current sys.stdout
     try:
+        if args.workers < 1:
+            raise DomainError(f"workers must be >= 1, got {args.workers}")
         code = args.func(args, partial(print, file=sink))
     except Graph6Error as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,6 +7,11 @@ neighbourhoods are deduplicated by parent-automorphism orbits, so each
 isomorphism class appears exactly once.  One generator yields the levels
 in turn, holding only the level it extends; only ``enumerate_levels``
 keeps them all, the other callers keep at most the last two.
+
+The value searches extend only *good* graphs (no k-dense i-set, no
+k-sparse j-set).  Goodness passes to induced subgraphs, every class is
+hereditary and a canonical-deletion parent is an induced subgraph of its
+child, so the good levels are the full levels with the rest dropped.
 """
 
 from __future__ import annotations
@@ -89,11 +94,11 @@ def _extend_parent(parent: Graph, cls: GraphClass) -> list[Graph]:
     return children
 
 
-def _levels(cls: GraphClass, n: int, budget: int | None = None,
-            workers: int = 1) -> Iterator[list[Graph]]:
+def _levels(cls: GraphClass, n: int, budget: int | None = None, workers: int = 1,
+            cell: tuple[int, int, int] | None = None) -> Iterator[list[Graph]]:
     """Yield the class members of each order 0..n in turn, one per
-    isomorphism class, in a deterministic order; only the level being
-    extended is kept."""
+    isomorphism class, in a deterministic order, holding only the level
+    being extended; with a ``(k, i, j)`` cell, only its good graphs."""
     cap = order_budget(cls, budget)
     if n > cap:
         raise BudgetError(
@@ -116,7 +121,8 @@ def _levels(cls: GraphClass, n: int, budget: int | None = None,
                                   chunksize=max(1, len(level) // (4 * workers)))
             else:
                 chunks = [_extend_parent(p, cls) for p in level]
-            level = [g for chunk in chunks for g in chunk]
+            level = [g for chunk in chunks for g in chunk
+                     if cell is None or ramsey_check(g, *cell).neither]
             yield level
     finally:
         if pool is not None:
@@ -139,7 +145,8 @@ def enumerate_class(cls: GraphClass, n: int, budget: int | None = None,
 
 @dataclass
 class EnumerationReport:
-    """Result of exhaustively checking one cell at one order."""
+    """Result of exhaustively checking one cell at one order; ``examined``
+    counts the good graphs (neither set) visited over orders 0..order."""
 
     cls: GraphClass
     order: int
@@ -169,26 +176,20 @@ class EnumerationReport:
 
 def verify_value(cls: GraphClass, k: int, i: int, j: int, claimed: int,
                  budget: int | None = None, workers: int = 1) -> EnumerationReport:
-    """Check a claimed value from scratch: every class graph of order
-    ``claimed`` must hold a witness set, and some graph one order below
-    must hold neither."""
+    """Check a claimed value from scratch: no class graph of order
+    ``claimed`` may be good, and some graph one order below must be."""
     if claimed < 1:
         raise DomainError("claimed value must be >= 1")
     start = time.perf_counter()
-    below, top = deque(_levels(cls, claimed, budget, workers), maxlen=2)
-    counterexamples = [graph6_encode(g) for g in top
-                       if ramsey_check(g, k, i, j).neither]
-    lower_witness = None
-    for g in below:
-        if ramsey_check(g, k, i, j).neither:
-            lower_witness = graph6_encode(g)
-            break
+    examined, below, top = 0, [], []
+    for level in _levels(cls, claimed, budget, workers, (k, i, j)):
+        examined += len(level)
+        below, top = top, level
     return EnumerationReport(
-        cls=cls, order=claimed, k=k, i=i, j=j,
-        examined=len(top) + len(below),
-        all_pass=not counterexamples,
-        counterexamples=counterexamples,
-        lower_witness=lower_witness,
+        cls=cls, order=claimed, k=k, i=i, j=j, examined=examined,
+        all_pass=not top,
+        counterexamples=[graph6_encode(g) for g in top],
+        lower_witness=graph6_encode(below[0]) if below else None,
         elapsed=time.perf_counter() - start,
     )
 
@@ -196,10 +197,9 @@ def verify_value(cls: GraphClass, k: int, i: int, j: int, claimed: int,
 def compute_ramsey_exhaustive(cls: GraphClass, k: int, i: int, j: int,
                               n_max: int, budget: int | None = None,
                               workers: int = 1) -> RamseyValue | None:
-    """Smallest order at which every enumerated class graph holds a
-    witness set, or None if none up to ``n_max``."""
-    with closing(_levels(cls, n_max, budget, workers)) as levels:  # ends the pool early
-        for n, level in enumerate(levels):
-            if n and all(not ramsey_check(g, k, i, j).neither for g in level):
+    """Smallest order up to ``n_max`` with no good class graph, else None."""
+    with closing(_levels(cls, n_max, budget, workers, (k, i, j))) as levels:
+        for n, level in enumerate(levels):  # closing ends a pool early
+            if not level:
                 return RamseyValue.exact(n, "exhaustive")
     return None

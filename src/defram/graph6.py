@@ -1,15 +1,16 @@
-"""graph6 codec (single-byte size form, orders 0..62).
+"""graph6 codec for orders 0..64.
 
-The format is one byte n+63 followed by the upper-triangle adjacency
-bits in column order x(0,1); x(0,2), x(1,2); x(0,3), ...; zero-padded to
-a multiple of six, each six-bit group offset by 63 into ASCII 63..126.
+The format is the order n followed by the upper-triangle adjacency bits
+in column order x(0,1); x(0,2), x(1,2); x(0,3), ...; zero-padded to a
+multiple of six, each six-bit group offset by 63 into ASCII 63..126.
+Orders up to 62 take one byte n+63; larger ones take ``~`` and then n as
+three six-bit groups.  A size header above 64 vertices, the 8-byte
+``~~`` form included, is refused.
 """
 
 from __future__ import annotations
 
-from .graphs import DomainError, Graph, make_graph
-
-GRAPH6_MAX_ORDER = 62
+from .graphs import MAX_ORDER, Graph, make_graph
 
 
 class Graph6Error(ValueError):
@@ -17,10 +18,10 @@ class Graph6Error(ValueError):
 
 
 def graph6_encode(g: Graph) -> str:
-    if g.n > GRAPH6_MAX_ORDER:
-        raise DomainError(
-            f"graph6 single-byte form covers orders up to {GRAPH6_MAX_ORDER}, got {g.n}")
-    out = [chr(g.n + 63)]
+    if g.n <= 62:
+        out = [chr(g.n + 63)]
+    else:
+        out = ["~"] + [chr((g.n >> shift & 63) + 63) for shift in (12, 6, 0)]
     group = 0
     nbits = 0
     for v in range(1, g.n):
@@ -39,24 +40,25 @@ def graph6_decode(line: str) -> Graph:
     line = line.strip()
     if not line:
         raise Graph6Error("empty graph6 line (offset 0)")
-    first = ord(line[0])
-    if not 63 <= first <= 126:
-        raise Graph6Error(f"byte {first} out of graph6 range at offset 0")
-    if first == 126:
-        raise Graph6Error("extended size forms are not supported (offset 0)")
-    n = first - 63
+    for pos, ch in enumerate(line):
+        if not 63 <= ord(ch) <= 126:
+            raise Graph6Error(f"byte {ord(ch)} out of graph6 range at offset {pos}")
+    groups = [ord(ch) - 63 for ch in line]
+    # size header: one byte, or "~" and three groups, or "~~" and six groups
+    start, head = (0, 1) if groups[0] < 63 else (2, 8) if groups[1:2] == [63] else (1, 4)
+    if len(groups) < head:
+        raise Graph6Error(f"truncated size header (offset {len(groups)})")
+    n = 0
+    for group in groups[start:head]:
+        n = (n << 6) | group
+    if n > MAX_ORDER:
+        raise Graph6Error(f"order {n} exceeds {MAX_ORDER} (offset 0)")
     need = (n * (n - 1) // 2 + 5) // 6
-    if len(line) != 1 + need:
+    if len(groups) != head + need:
         raise Graph6Error(
-            f"expected {1 + need} bytes for order {n}, got {len(line)} "
-            f"(offset {min(len(line), 1 + need)})")
-    bits = []
-    for pos, ch in enumerate(line[1:], start=1):
-        code = ord(ch)
-        if not 63 <= code <= 126:
-            raise Graph6Error(f"byte {code} out of graph6 range at offset {pos}")
-        group = code - 63
-        bits.extend((group >> shift) & 1 for shift in range(5, -1, -1))
+            f"expected {head + need} bytes for order {n}, got {len(groups)} "
+            f"(offset {min(len(groups), head + need)})")
+    bits = [(group >> shift) & 1 for group in groups[head:] for shift in range(5, -1, -1)]
     edges = []
     idx = 0
     for v in range(1, n):
@@ -65,5 +67,5 @@ def graph6_decode(line: str) -> Graph:
                 edges.append((u, v))
             idx += 1
     if any(bits[idx:]):
-        raise Graph6Error(f"nonzero padding bits (offset {1 + idx // 6})")
+        raise Graph6Error(f"nonzero padding bits (offset {head + idx // 6})")
     return make_graph(n, edges)

@@ -1,6 +1,6 @@
 import json
 
-from defram import graph6_encode, cycle_graph, graph6_decode, named_graph
+from defram import GraphClass, cycle_graph, graph6_decode, graph6_encode, member, named_graph
 from defram.cli import run_cli
 
 C4 = graph6_encode(cycle_graph(4))  # "Cr"
@@ -83,7 +83,29 @@ def test_worker_count_below_one_is_refused(capsys):
         assert run_cli(["--workers", bad, "enumerate", "forest", "-n", "3"]) == 3
         assert run_cli(["--workers", bad, "verify", "forest", "-k", "1", "-i", "4",
                         "-j", "4", "--claimed", "5"]) == 3
-    assert "workers must be >= 1" in capsys.readouterr().err
+        assert run_cli(["--workers", bad, "formula", "forest", "-k", "1", "-i", "4",
+                        "-j", "4"]) == 3
+        assert run_cli(["--workers", bad, "hunt", "forest", "-k", "1", "-i", "4",
+                        "-j", "4", "-n", "5", "--hunt-budget", "10"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("workers must be >= 1") == 8
+
+
+def test_hunt_budget_below_one_is_refused(capsys):
+    for bad in ("0", "-3"):
+        assert run_cli(["hunt", "forest", "-k", "1", "-i", "4", "-j", "4",
+                        "-n", "5", "--hunt-budget", bad]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "hunt budget must be >= 1" in captured.err
+
+
+def test_witness_at_orders_63_and_64(capsys):
+    for j, order in ((43, 63), (44, 64)):
+        code, out = run(capsys, "witness", "forest", "-k", "1", "-i", "4", "-j", str(j))
+        assert code == 0
+        g = graph6_decode(out)
+        assert g.n == order and member(g, GraphClass.FOREST)
 
 
 def test_classify(capsys):

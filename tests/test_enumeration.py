@@ -8,8 +8,12 @@ import defram.enumeration
 from defram import (
     BudgetError,
     GraphClass,
+    RamseyQuery,
+    alpha_k_oracle,
     canonical_form,
+    complement,
     compute_ramsey_exhaustive,
+    defective_ramsey,
     enumerate_class,
     enumerate_levels,
     graph6_encode,
@@ -125,10 +129,27 @@ def test_verify_value_rejects_wrong_claims():
     assert rep.lower_witness is None
 
 
-def test_verify_value_report_is_pinned():
+def _good(g, k, i, j):
+    """Neither a k-dense i-set nor a k-sparse j-set, by the exhaustive oracle."""
+    return alpha_k_oracle(complement(g), k) < i and alpha_k_oracle(g, k) < j
+
+
+@pytest.mark.parametrize("cls", list(STREAM_SHA256), ids=lambda c: c.value)
+def test_good_stream_is_the_filtered_full_stream(cls, all_levels_7):
+    levels = all_levels_7 if cls is ALL else enumerate_levels(cls, 7)
+    for cell in ((1, 4, 4), (1, 4, 5), (2, 5, 5), (0, 3, 3)):
+        expected = [[g for g in level if _good(g, *cell)] for level in levels]
+        for workers in (1, 2):
+            good = list(defram.enumeration._levels(cls, 7, workers=workers, cell=cell))
+            assert good == expected, (cell, workers)
+
+
+def test_verify_value_report_is_pinned(all_levels_6):
     rep = verify_value(GraphClass.BIPARTITE, 1, 4, 5, 6)
     assert rep.counterexamples == ["E?oo", "E?qo", "E?ow", "ECp_", "EEh_"]
-    assert rep.lower_witness == "D?o" and rep.examined == 48
+    assert rep.lower_witness == "D?o" and rep.examined == 25
+    assert rep.examined == sum(_good(g, 1, 4, 5) for level in all_levels_6
+                               for g in level if member(g, GraphClass.BIPARTITE))
 
 
 def test_compute_ramsey_exhaustive_stops_at_first_passing_order(monkeypatch):
@@ -161,3 +182,24 @@ def test_report_json_shape():
     assert payload["class"] == "cograph" and payload["confirmed"] is True
     assert set(payload) >= {"order", "k", "i", "j", "examined", "all_pass",
                             "counterexamples", "lower_witness", "elapsed"}
+
+
+def test_exhaustive_values_agree_with_the_formulas():
+    cells = 0
+    for cls in GraphClass:
+        if cls is ALL:
+            continue
+        for k in range(3):
+            for i in range(1, 9):
+                for j in range(1, 9):
+                    formula = defective_ramsey(RamseyQuery(cls, k, i, j))
+                    if formula.hi > 8:
+                        continue
+                    cells += 1
+                    found = compute_ramsey_exhaustive(cls, k, i, j, n_max=formula.hi)
+                    assert found is not None, (cls, k, i, j)
+                    if formula.is_exact:
+                        assert found.value == formula.value, (cls, k, i, j)
+                    else:
+                        assert formula.lo <= found.value <= formula.hi, (cls, k, i, j)
+    assert cells == 679

@@ -1,7 +1,6 @@
 import pytest
 
 from defram import (
-    DomainError,
     Graph6Error,
     complete_graph,
     cycle_graph,
@@ -41,10 +40,19 @@ def test_malformed_input():
         graph6_decode("D?")  # truncated order-5 line
     assert "offset" in str(err.value)
     with pytest.raises(Graph6Error):
-        graph6_decode("~??")  # extended size form
+        graph6_decode("~??")  # truncated 4-byte size header
 
 
-def test_encode_refuses_large_orders():
-    with pytest.raises(DomainError):
-        graph6_encode(empty_graph(63))
-    assert graph6_decode(graph6_encode(cycle_graph(62))) == cycle_graph(62)
+def test_roundtrip_large_orders():
+    for n in (62, 63, 64):
+        for g in (empty_graph(n), cycle_graph(n), complete_graph(n)):
+            assert graph6_decode(graph6_encode(g)) == g
+    assert graph6_encode(empty_graph(62))[0] == "}"
+    assert graph6_encode(empty_graph(63)).startswith("~??~")
+    assert graph6_encode(empty_graph(64)).startswith("~?@?")
+
+
+def test_orders_above_64_are_refused():
+    for header in ("~?@@", "~?~~", "~~??????", "~~?????@"):
+        with pytest.raises(Graph6Error):
+            graph6_decode(header + "?" * 400)

@@ -1,4 +1,6 @@
-from defram import GraphClass, graph6_encode, hunt_witness, member, ramsey_check
+import pytest
+
+from defram import DomainError, GraphClass, graph6_encode, hunt_witness, member, ramsey_check
 
 
 def test_hunt_finds_split_witness():
@@ -17,3 +19,9 @@ def test_hunt_is_deterministic_per_seed():
     a = hunt_witness(GraphClass.SPLIT, 2, 5, 9, 11, budget=5000, seed=42)
     b = hunt_witness(GraphClass.SPLIT, 2, 5, 9, 11, budget=5000, seed=42)
     assert a is not None and graph6_encode(a) == graph6_encode(b)
+
+
+@pytest.mark.parametrize("budget", [0, -3])
+def test_hunt_refuses_budget_below_one(budget):
+    with pytest.raises(DomainError, match="hunt budget must be >= 1"):
+        hunt_witness(GraphClass.FOREST, 1, 4, 4, 5, budget=budget, seed=0)
