@@ -18,11 +18,23 @@ def _refine(adj, cells: list[int]) -> list[int]:
     """Coarsest stable ordered partition refining ``cells``.
 
     Cells split by neighbour counts against every cell; fragments are
-    ordered by count, so the evolution depends only on structure.
+    ordered by count, so the evolution depends only on structure.  Each
+    round applies the first cell that splits anything, then starts over.
+
+    Refining never undoes uniformity against a fixed vertex set: once
+    every cell has constant neighbour counts into a mask, so do all of
+    their fragments.  A splitter that was tried and split nothing, or
+    that was just applied, therefore splits nothing for as long as its
+    mask is still a cell, and ``stable`` lets later rounds skip it.  The
+    rounds apply the same splitters in the same order as without it.
     """
     cells = list(cells)
+    stable: set[int] = set()
     while True:
         for splitter in cells:
+            if splitter in stable:
+                continue
+            stable.add(splitter)
             new_cells = []
             split = False
             for cell in cells:

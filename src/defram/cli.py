@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Exit codes: 0 success/confirmed, 1 refuted or counterexample found,
-2 usage error, 3 budget or domain refusal.
+2 usage error, 3 budget or domain refusal, 141 standard output closed
+before everything was written.
 """
 
 from __future__ import annotations
@@ -26,16 +27,26 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_USAGE = 2
 EXIT_REFUSED = 3
+EXIT_PIPE = 141  # stdout closed early; what a shell reports for SIGPIPE
 
 
 def _load_graphs(arg: str) -> list[Graph]:
     """Interpret the argument as a file of graph6 lines if it names a
-    file, else as a single graph6 line."""
+    file, else as a single graph6 line; an error says which it was."""
     if os.path.exists(arg):
-        with open(arg, "r", encoding="ascii") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+        try:
+            with open(arg, "r", encoding="ascii") as fh:
+                lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
+        except (OSError, UnicodeDecodeError) as exc:
+            raise Graph6Error(f"cannot read file {arg!r}: {exc}") from None
+        source = f"file {arg!r}"
+    else:
+        lines = [arg]
+        source = f"no file {arg!r} exists, so it was read as a graph6 line"
+    try:
         return [graph6_decode(ln) for ln in lines]
-    return [graph6_decode(arg)]
+    except Graph6Error as exc:
+        raise Graph6Error(f"{source}: {exc}") from None
 
 
 def _set_str(mask: int) -> str:
@@ -238,7 +249,15 @@ def run_cli(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run_cli())
+    try:
+        code = run_cli()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader left early.  Point stdout at devnull so the flush at
+        # interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -8,6 +8,16 @@ isomorphism class appears exactly once.  One generator yields the levels
 in turn, holding only the level it extends; only ``enumerate_levels``
 keeps them all, the other callers keep at most the last two.
 
+Most children are settled without a canonical labelling.  The search in
+``canon`` splits cells in place, so the deletion target ``lab[m]`` always
+lies in the last cell of the root partition ``_refine(rows, [all])``, and
+every root cell is a union of automorphism orbits.  The new vertex m is
+therefore accepted only if it lies in that last cell, which holds only
+vertices of maximum degree; if the cell is ``{m}`` it is accepted at
+once, and only a tie runs the full ``_canon`` and orbit test.  The degree
+test is the same on a whole parent orbit, so orbits that fail it are not
+walked; the walk reads one image table per parent generator.
+
 The value searches extend only *good* graphs (no k-dense i-set, no
 k-sparse j-set).  Goodness passes to induced subgraphs, every class is
 hereditary and a canonical-deletion parent is an induced subgraph of its
@@ -25,7 +35,7 @@ from contextlib import closing
 from dataclasses import dataclass, field
 from functools import partial
 
-from .canon import _canon, _orbit
+from .canon import _canon, _orbit, _refine
 from .classes import GraphClass, member
 from .defects import ramsey_check
 from .formulas import RamseyValue
@@ -53,32 +63,37 @@ def order_budget(cls: GraphClass, budget: int | None = None) -> int:
     return DEFAULT_BUDGETS.get(cls, DEFAULT_BUDGET)
 
 
-def _apply_perm_to_mask(perm, mask: int) -> int:
-    out = 0
-    while mask:
-        b = mask & -mask
-        mask ^= b
-        out |= 1 << perm[b.bit_length() - 1]
-    return out
+def _image_table(perm, m: int) -> list[int]:
+    """Image under ``perm`` of every vertex mask of an order-m graph."""
+    table = [0]
+    for v in range(m):
+        vbit = 1 << perm[v]
+        table += [img | vbit for img in table]
+    return table
 
 
 def _extend_parent(parent: Graph, cls: GraphClass) -> list[Graph]:
     """All accepted one-vertex extensions of ``parent`` inside the class."""
     m = parent.n
-    _, _, pgens = _canon(m, parent.adj)
-    children = []
+    tables = [_image_table(perm, m) for perm in _canon(m, parent.adj)[2]]
     seen = bytearray(1 << m)
+    degrees = [row.bit_count() for row in parent.adj]
+    top = max(degrees, default=0)
+    top_mask = sum(1 << u for u, d in enumerate(degrees) if d == top)
+    children = []
     for neigh in range(1 << m):
+        d = neigh.bit_count()
+        if d < top or (d == top and neigh & top_mask):
+            # m would lack maximum degree here and for every image of
+            # neigh under the parent group, so the orbit is not walked
+            continue
         if seen[neigh]:
             continue
-        orbit = [neigh]
         seen[neigh] = 1
-        qi = 0
-        while qi < len(orbit):
-            cur = orbit[qi]
-            qi += 1
-            for perm in pgens:
-                img = _apply_perm_to_mask(perm, cur)
+        orbit = [neigh]
+        for cur in orbit:
+            for table in tables:
+                img = table[cur]
                 if not seen[img]:
                     seen[img] = 1
                     orbit.append(img)
@@ -87,10 +102,14 @@ def _extend_parent(parent: Graph, cls: GraphClass) -> list[Graph]:
         child = Graph(m + 1, rows)
         if not member(child, cls):
             continue
-        _, lab, cgens = _canon(m + 1, rows)
-        target = lab[m]
-        if target == m or target in _orbit(cgens, m):
-            children.append(child)
+        last = _refine(rows, [(1 << (m + 1)) - 1])[-1]
+        if not (last >> m) & 1:
+            continue
+        if last != 1 << m:
+            _, lab, cgens = _canon(m + 1, rows)
+            if lab[m] != m and lab[m] not in _orbit(cgens, m):
+                continue
+        children.append(child)
     return children
 
 

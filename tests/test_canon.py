@@ -1,6 +1,9 @@
 import random
 from itertools import combinations, permutations
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from defram import (
     canonical_form,
     canonical_labeling,
@@ -14,7 +17,8 @@ from defram import (
     path_graph,
     star_graph,
 )
-from defram.graphs import relabel
+from defram.canon import _refine
+from defram.graphs import bits, relabel
 
 
 def test_canonical_form_examples():
@@ -85,3 +89,70 @@ def test_highly_symmetric_graphs_do_not_blow_up():
     for g in (empty_graph(16), complete_graph(16), complete_graph(8),
               cycle_graph(12), star_graph(15)):
         canonical_form(g)
+
+
+def _refine_restart(adj, cells):
+    """Slow oracle for ``_refine``: retry every splitter from the first
+    one after each split, remembering nothing."""
+    cells = list(cells)
+    while True:
+        for splitter in cells:
+            new_cells = []
+            split = False
+            for cell in cells:
+                if cell.bit_count() <= 1:
+                    new_cells.append(cell)
+                    continue
+                groups: dict[int, int] = {}
+                for v in bits(cell):
+                    cnt = (adj[v] & splitter).bit_count()
+                    groups[cnt] = groups.get(cnt, 0) | (1 << v)
+                if len(groups) == 1:
+                    new_cells.append(cell)
+                else:
+                    split = True
+                    new_cells.extend(groups[cnt] for cnt in sorted(groups))
+            if split:
+                cells = new_cells
+                break
+        else:
+            return cells
+
+
+def test_refine_matches_restart_oracle_order_6(all_levels_6):
+    for level in all_levels_6:
+        for g in level:
+            unit = [(1 << g.n) - 1]
+            root = _refine_restart(g.adj, unit)
+            assert _refine(g.adj, unit) == root
+            for t, cell in enumerate(root):
+                if cell.bit_count() <= 1:
+                    continue
+                for v in bits(cell):
+                    cells = root[:t] + [1 << v, cell ^ (1 << v)] + root[t + 1:]
+                    assert _refine(g.adj, cells) == _refine_restart(g.adj, cells)
+
+
+@st.composite
+def graphs_with_partitions(draw):
+    """A graph of order <= 12 and an ordered partition of its vertices."""
+    n = draw(st.integers(0, 12))
+    pairs = list(combinations(range(n), 2))
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = make_graph(n, [e for e, on in zip(pairs, present) if on])
+    order = draw(st.permutations(range(n)))
+    cuts = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    cells, cell = [], 0
+    for v, cut in zip(order, cuts):
+        cell |= 1 << v
+        if cut or v == order[-1]:
+            cells.append(cell)
+            cell = 0
+    return g, cells
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_partitions())
+def test_refine_matches_restart_oracle_random(case):
+    g, cells = case
+    assert _refine(g.adj, cells) == _refine_restart(g.adj, cells)

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
+import defram
 from defram import GraphClass, cycle_graph, graph6_decode, graph6_encode, member, named_graph
-from defram.cli import run_cli
+from defram.cli import EXIT_PIPE, run_cli
 
 C4 = graph6_encode(cycle_graph(4))  # "Cr"
 
@@ -127,6 +131,36 @@ def test_usage_errors(capsys):
     assert run_cli(["nonsense"]) == 2
     code, _ = run(capsys, "check", "-k", "1", "-i", "4", "-j", "4", "!!")
     assert code == 2
+
+
+def test_graph_argument_errors_say_how_it_was_read(tmp_path, capsys):
+    missing = str(tmp_path / "missing.g6")
+    assert run_cli(["alpha", "-k", "1", missing]) == 2
+    err = capsys.readouterr().err
+    assert f"no file {missing!r} exists, so it was read as a graph6 line" in err
+    bad = tmp_path / "bad.g6"
+    bad.write_text(f"{C4}\n!!\n")
+    assert run_cli(["alpha", "-k", "1", str(bad)]) == 2
+    assert f"file {str(bad)!r}: " in capsys.readouterr().err
+    bad.write_bytes(b"Cr\n\xc3\xa9\n")
+    assert run_cli(["alpha", "-k", "1", str(bad)]) == 2
+    assert f"cannot read file {str(bad)!r}" in capsys.readouterr().err
+    assert run_cli(["alpha", "-k", "1", str(tmp_path)]) == 2
+    assert f"cannot read file {str(tmp_path)!r}" in capsys.readouterr().err
+
+
+def test_closed_stdout_exits_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # nobody reads: the first write to stdout fails
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(defram.__file__)))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "defram.cli", "enumerate", "forest", "-n", "6"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == EXIT_PIPE
+    assert proc.stderr == b""
 
 
 def test_file_input(tmp_path, capsys):

@@ -7,6 +7,7 @@ import pytest
 import defram.enumeration
 from defram import (
     BudgetError,
+    Graph,
     GraphClass,
     RamseyQuery,
     alpha_k_oracle,
@@ -21,6 +22,7 @@ from defram import (
     member,
     verify_value,
 )
+from defram.canon import _canon, _orbit
 
 ALL = GraphClass.ALL
 
@@ -55,6 +57,71 @@ def test_class_filtering_consistency(all_levels_6):
             assert len(own) == len(filtered)
             assert ({canonical_form(g) for g in own}
                     == {canonical_form(g) for g in filtered})
+
+
+# Unlabelled counts per order from 0, from the OEIS.  A048194 and A000084
+# start at order 1, so the order-0 term (the empty graph) is prepended.
+# Cacti stay unpinned: no independent derivation or citation of their
+# counts is at hand.
+OEIS_COUNTS = {
+    GraphClass.FOREST:  # A005195
+        [1, 1, 2, 3, 6, 10, 20, 37, 76, 153, 329, 710],
+    GraphClass.BIPARTITE:  # A033995
+        [1, 1, 2, 3, 7, 13, 35, 88, 303, 1119],
+    GraphClass.SPLIT:  # A048194
+        [1, 1, 2, 4, 9, 21, 56, 164, 557, 2223],
+    GraphClass.COGRAPH:  # A000084
+        [1, 1, 2, 4, 10, 24, 66, 180, 522, 1532],
+}
+
+
+@pytest.mark.parametrize("cls", list(OEIS_COUNTS), ids=lambda c: c.value)
+def test_class_counts_match_oeis(cls):
+    counts = OEIS_COUNTS[cls]
+    assert [len(level) for level in enumerate_levels(cls, len(counts) - 1)] == counts
+
+
+def _image(perm, mask):
+    return sum(1 << perm[v] for v in range(len(perm)) if (mask >> v) & 1)
+
+
+def _extend_parent_oracle(parent, cls):
+    """Slow oracle for ``_extend_parent``: every least mask of a parent
+    automorphism orbit, kept by membership and then the canonical
+    deletion rule alone."""
+    m = parent.n
+    pgens = _canon(m, parent.adj)[2]
+    seen, children = set(), []
+    for neigh in range(1 << m):
+        if neigh in seen:
+            continue
+        orbit, frontier = {neigh}, [neigh]
+        while frontier:
+            cur = frontier.pop()
+            for perm in pgens:
+                img = _image(perm, cur)
+                if img not in orbit:
+                    orbit.add(img)
+                    frontier.append(img)
+        seen |= orbit
+        rows = tuple(row | (1 << m) if (neigh >> u) & 1 else row
+                     for u, row in enumerate(parent.adj)) + (neigh,)
+        child = Graph(m + 1, rows)
+        if not member(child, cls):
+            continue
+        _, lab, cgens = _canon(m + 1, rows)
+        if lab[m] == m or lab[m] in _orbit(cgens, m):
+            children.append(child)
+    return children
+
+
+@pytest.mark.parametrize("cls", list(GraphClass), ids=lambda c: c.value)
+def test_extend_parent_matches_oracle(cls, all_levels_6):
+    levels = all_levels_6 if cls is ALL else enumerate_levels(cls, 6)
+    for level in levels:
+        for parent in level:
+            assert (defram.enumeration._extend_parent(parent, cls)
+                    == _extend_parent_oracle(parent, cls)), graph6_encode(parent)
 
 
 def test_small_class_examples():
