@@ -9,12 +9,13 @@ automorphism group, which the enumeration module relies on.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import lru_cache
 
 from .graphs import Graph, bits
 
 
-def _refine(adj, cells: list[int]) -> list[int]:
+def _refine(adj, cells: list[int], stable: Iterable[int] = ()) -> list[int]:
     """Coarsest stable ordered partition refining ``cells``.
 
     Cells split by neighbour counts against every cell; fragments are
@@ -26,10 +27,12 @@ def _refine(adj, cells: list[int]) -> list[int]:
     their fragments.  A splitter that was tried and split nothing, or
     that was just applied, therefore splits nothing for as long as its
     mask is still a cell, and ``stable`` lets later rounds skip it.  The
-    rounds apply the same splitters in the same order as without it.
+    rounds apply the same splitters in the same order as without it.  A
+    caller may seed ``stable`` with cells known to split nothing, such as
+    the untouched cells of an equitable partition it has just cut.
     """
     cells = list(cells)
-    stable: set[int] = set()
+    stable = set(stable)
     while True:
         for splitter in cells:
             if splitter in stable:
@@ -115,7 +118,9 @@ def _search(adj, n: int):
                     done.append(v)
                     continue
             vbit = 1 << v
-            refined = _refine(adj, cells[:target] + [vbit, cell ^ vbit] + cells[target + 1:])
+            # ``cells`` is equitable, so its other cells split nothing
+            refined = _refine(adj, cells[:target] + [vbit, cell ^ vbit] + cells[target + 1:],
+                              cells)
             rec(refined, path + (v,))
             done.append(v)
 

@@ -34,26 +34,50 @@ def is_k_dense(g: Graph, sub: VertexSet, k: int) -> bool:
     return is_k_sparse(complement(g), sub, k)
 
 
-def _can_add(adj, v: int, chosen: int, k: int) -> bool:
-    # chosen + v stays k-sparse: v gains <= k neighbours and no chosen
-    # neighbour of v is already at degree k
+def check_cell(k: int, i: int = 1, j: int = 1) -> None:
+    """Refuse set sizes i, j below 1, then a defect k below 0."""
+    if i < 1 or j < 1:
+        raise DomainError("set sizes i and j must be >= 1")
+    if k < 0:
+        raise DomainError("defect k must be >= 0")
+
+
+def _add(adj, v: int, chosen: int, sat: int, k: int) -> tuple[int, int]:
+    """``chosen`` plus v, and its saturation mask: the chosen vertices
+    with exactly k chosen neighbours.  Only v and its chosen neighbours
+    change degree, so only they can join the mask."""
     nb = adj[v] & chosen
-    if nb.bit_count() > k:
-        return False
+    chosen |= 1 << v
+    if nb.bit_count() == k:
+        sat |= 1 << v
     for u in bits(nb):
-        if (adj[u] & chosen).bit_count() >= k:
-            return False
-    return True
+        if (adj[u] & chosen).bit_count() == k:
+            sat |= 1 << u
+    return chosen, sat
 
 
 def _greedy_sparse(adj, cand: int, k: int) -> int:
     """Greedy k-sparse subset of ``cand`` (ascending degree, then index)."""
     verts = sorted(bits(cand), key=lambda v: ((adj[v] & cand).bit_count(), v))
-    chosen = 0
+    chosen = sat = 0
     for v in verts:
-        if _can_add(adj, v, chosen, k):
-            chosen |= 1 << v
+        nb = adj[v] & chosen
+        if not nb & sat and nb.bit_count() <= k:
+            chosen, sat = _add(adj, v, chosen, sat, k)
     return chosen
+
+
+def _twins(adj, cand: int) -> dict[int, int]:
+    """Each vertex of ``cand`` mapped to the mask of its true twins (same
+    closed neighbourhood in G[cand]) or false twins (same open one),
+    itself included."""
+    rows = {v: adj[v] & cand for v in bits(cand)}
+    closed: dict[int, int] = {}
+    opened: dict[int, int] = {}
+    for v, row in rows.items():
+        closed[row | 1 << v] = closed.get(row | 1 << v, 0) | 1 << v
+        opened[row] = opened.get(row, 0) | 1 << v
+    return {v: closed[row | 1 << v] | opened[row] for v, row in rows.items()}
 
 
 def _bnb_sparse(adj, cand: int, k: int, floor_size: int, floor_set: int,
@@ -65,41 +89,54 @@ def _bnb_sparse(adj, cand: int, k: int, floor_size: int, floor_set: int,
     lowest index), include branch first, pruning once |chosen| plus the
     number of remaining candidates cannot beat the best known size.
     When ``stop_at`` is reached the search aborts with the current best.
+
+    Twins of an excluded vertex v turn ``dead``: swapping v with a twin w
+    is an automorphism fixing ``chosen``, so a set the exclude branch finds
+    through w has a same-size image through v, which the include branch
+    has searched.  Improvements are strict, so a dead vertex is never
+    included and does not count toward the bound.  It still counts toward
+    the branching degrees, so the search meets the same improvements in
+    the same order and returns the same set.  ``sat`` holds the chosen
+    vertices at degree k; a candidate adjacent to one cannot be added.
     """
     best_size = floor_size
     best_set = floor_set
+    twins = _twins(adj, cand)
 
-    def rec(chosen: int, size: int, cand: int) -> bool:
+    def rec(chosen: int, sat: int, size: int, cand: int, dead: int) -> bool:
         nonlocal best_size, best_set
         if size > best_size:
             best_size, best_set = size, chosen
             if stop_at is not None and size >= stop_at:
                 return True
-        if size + cand.bit_count() <= best_size or not cand:
-            return False
-        bv, bd = -1, -1
-        m = cand
-        while m:
-            b = m & -m
-            v = b.bit_length() - 1
-            m ^= b
-            d = (adj[v] & cand).bit_count()
-            if d > bd:
-                bv, bd = v, d
-        vbit = 1 << bv
-        new_chosen = chosen | vbit
-        new_cand = 0
-        m = cand ^ vbit
-        while m:
-            b = m & -m
-            m ^= b
-            if _can_add(adj, b.bit_length() - 1, new_chosen, k):
-                new_cand |= b
-        if rec(new_chosen, size + 1, new_cand):
-            return True
-        return rec(chosen, size, cand ^ vbit)
+        while size + (cand & ~dead).bit_count() > best_size:
+            bv, bd = -1, -1
+            m = cand
+            while m:
+                b = m & -m
+                v = b.bit_length() - 1
+                m ^= b
+                d = (adj[v] & cand).bit_count()
+                if d > bd:
+                    bv, bd = v, d
+            vbit = 1 << bv
+            if not dead & vbit:
+                new_chosen, new_sat = _add(adj, bv, chosen, sat, k)
+                # the candidates passed the filter against chosen and sat:
+                # only bv's neighbours and those of new saturated ones can fail
+                new_cand = cand ^ vbit
+                for u in bits(new_sat ^ sat):
+                    new_cand &= ~adj[u]
+                for w in bits(new_cand & adj[bv]):
+                    if (adj[w] & new_chosen).bit_count() > k:
+                        new_cand ^= 1 << w
+                if rec(new_chosen, new_sat, size + 1, new_cand, dead & new_cand):
+                    return True
+            cand ^= vbit
+            dead = (dead | twins[bv]) & cand
+        return False
 
-    rec(0, 0, cand)
+    rec(0, 0, 0, cand, 0)
     return best_size, best_set
 
 
@@ -108,8 +145,7 @@ def alpha_k(g: Graph, k: int) -> tuple[int, VertexSet]:
 
     Computed per connected component and summed.
     """
-    if k < 0:
-        raise DomainError("defect k must be >= 0")
+    check_cell(k)
     total = 0
     witness = 0
     for comp in components(g):
@@ -137,6 +173,7 @@ def find_sparse_set(g: Graph, k: int, target: int) -> VertexSet | None:
     and abandons a graph early once the remaining components cannot make
     up the difference.
     """
+    check_cell(k)
     if target <= 0:
         return 0
     comps = components(g)
@@ -202,8 +239,7 @@ class WitnessReport:
 
 def ramsey_check(g: Graph, k: int, i: int, j: int) -> WitnessReport:
     """Look for a k-sparse j-set and a k-dense i-set in g."""
-    if i < 1 or j < 1:
-        raise DomainError("set sizes i and j must be >= 1")
+    check_cell(k, i, j)
     sparse = find_sparse_set(g, k, j)
     dense = find_sparse_set(complement(g), k, i)
     return WitnessReport(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 
 from .classes import GraphClass, member
-from .defects import alpha_k, ramsey_check
+from .defects import alpha_k, check_cell, ramsey_check
 from .graphs import DomainError, Graph, bits, complement, empty_graph
 
 DEFAULT_HUNT_BUDGET = 20000
@@ -109,6 +109,7 @@ def hunt_witness(cls: GraphClass, k: int, i: int, j: int, n: int,
     A result proves the cell value exceeds n; None after ``budget`` moves
     proves nothing.  Same seed, same flags: same output.
     """
+    check_cell(k, i, j)
     if budget < 1:
         raise DomainError(f"hunt budget must be >= 1, got {budget}")
     rng = random.Random(seed)

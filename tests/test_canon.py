@@ -119,18 +119,29 @@ def _refine_restart(adj, cells):
             return cells
 
 
+def _cuts(cells):
+    """Each partition made by individualising one vertex of a
+    non-singleton cell of ``cells``."""
+    for t, cell in enumerate(cells):
+        if cell.bit_count() > 1:
+            for v in bits(cell):
+                yield cells[:t] + [1 << v, cell ^ (1 << v)] + cells[t + 1:]
+
+
 def test_refine_matches_restart_oracle_order_6(all_levels_6):
+    # the search passes the equitable partition it cuts as stable
+    # splitters; two levels of that tree are checked with and without
     for level in all_levels_6:
         for g in level:
             unit = [(1 << g.n) - 1]
             root = _refine_restart(g.adj, unit)
             assert _refine(g.adj, unit) == root
-            for t, cell in enumerate(root):
-                if cell.bit_count() <= 1:
-                    continue
-                for v in bits(cell):
-                    cells = root[:t] + [1 << v, cell ^ (1 << v)] + root[t + 1:]
-                    assert _refine(g.adj, cells) == _refine_restart(g.adj, cells)
+            for cells in _cuts(root):
+                first = _refine_restart(g.adj, cells)
+                assert _refine(g.adj, cells) == first
+                assert _refine(g.adj, cells, root) == first
+                for deeper in _cuts(first):
+                    assert _refine(g.adj, deeper, first) == _refine_restart(g.adj, deeper)
 
 
 @st.composite
@@ -152,7 +163,13 @@ def graphs_with_partitions(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(graphs_with_partitions())
-def test_refine_matches_restart_oracle_random(case):
+@given(graphs_with_partitions(), st.data())
+def test_refine_matches_restart_oracle_random(case, data):
     g, cells = case
-    assert _refine(g.adj, cells) == _refine_restart(g.adj, cells)
+    equitable = _refine(g.adj, cells)
+    assert equitable == _refine_restart(g.adj, cells)
+    cuts = list(_cuts(equitable))
+    if cuts:
+        cut = data.draw(st.sampled_from(cuts))
+        assert _refine(g.adj, cut, equitable) == _refine_restart(g.adj, cut)
+

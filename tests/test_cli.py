@@ -104,6 +104,23 @@ def test_hunt_budget_below_one_is_refused(capsys):
         assert captured.out == "" and "hunt budget must be >= 1" in captured.err
 
 
+def test_negative_defect_is_refused(capsys):
+    assert run_cli(["check", "-k", "-1", "-i", "1", "-j", "2", "B?"]) == 3
+    assert run_cli(["verify", "forest", "-k", "-1", "-i", "2", "-j", "2",
+                    "--claimed", "3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("defect k must be >= 0") == 2
+
+
+def test_hunt_set_sizes_below_one_are_refused(capsys):
+    for i, j in (("0", "4"), ("4", "0")):
+        assert run_cli(["hunt", "forest", "-k", "1", "-i", i, "-j", j, "-n", "3",
+                        "--hunt-budget", "5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "set sizes i and j must be >= 1" in captured.err
+
+
 def test_witness_at_orders_63_and_64(capsys):
     for j, order in ((43, 63), (44, 64)):
         code, out = run(capsys, "witness", "forest", "-k", "1", "-i", "4", "-j", str(j))

@@ -1,10 +1,15 @@
 import random
+from itertools import combinations
+from unittest.mock import patch
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from defram import (
     DomainError,
     GraphClass,
+    RamseyQuery,
     alpha_k,
     alpha_k_oracle,
     bits,
@@ -16,6 +21,7 @@ from defram import (
     empty_graph,
     enumerate_class,
     find_sparse_set,
+    graph6_decode,
     is_forest,
     is_k_dense,
     is_k_sparse,
@@ -24,7 +30,9 @@ from defram import (
     ramsey_check,
     sparsity_remainder,
     star_graph,
+    witness_for,
 )
+from defram import defects
 from defram.witnesses import cactus_square_chain
 
 
@@ -190,3 +198,154 @@ def test_matching_property_small():
             removed = set(m)
             left = make_graph(g.n, [e for e in g.edges() if e not in removed])
             assert is_forest(left)
+
+
+def _can_add_oracle(adj, v: int, chosen: int, k: int) -> bool:
+    # chosen + v stays k-sparse: v gains <= k neighbours and no chosen
+    # neighbour of v is already at degree k
+    nb = adj[v] & chosen
+    if nb.bit_count() > k:
+        return False
+    for u in bits(nb):
+        if (adj[u] & chosen).bit_count() >= k:
+            return False
+    return True
+
+
+def _greedy_sparse_oracle(adj, cand: int, k: int) -> int:
+    """Greedy k-sparse subset of ``cand`` (ascending degree, then index)."""
+    verts = sorted(bits(cand), key=lambda v: ((adj[v] & cand).bit_count(), v))
+    chosen = 0
+    for v in verts:
+        if _can_add_oracle(adj, v, chosen, k):
+            chosen |= 1 << v
+    return chosen
+
+
+def _bnb_sparse_oracle(adj, cand: int, k: int, floor_size: int, floor_set: int,
+                       stop_at: int | None) -> tuple[int, int]:
+    """Slow oracle for ``_bnb_sparse``: the same branching rule with no
+    twin pruning, each candidate re-checked against its chosen neighbours.
+    Only improvements over ``floor_size`` are searched for; reaching
+    ``stop_at`` aborts with the current best."""
+    best_size = floor_size
+    best_set = floor_set
+
+    def rec(chosen: int, size: int, cand: int) -> bool:
+        nonlocal best_size, best_set
+        if size > best_size:
+            best_size, best_set = size, chosen
+            if stop_at is not None and size >= stop_at:
+                return True
+        if size + cand.bit_count() <= best_size or not cand:
+            return False
+        bv, bd = -1, -1
+        m = cand
+        while m:
+            b = m & -m
+            v = b.bit_length() - 1
+            m ^= b
+            d = (adj[v] & cand).bit_count()
+            if d > bd:
+                bv, bd = v, d
+        vbit = 1 << bv
+        new_chosen = chosen | vbit
+        new_cand = 0
+        m = cand ^ vbit
+        while m:
+            b = m & -m
+            m ^= b
+            if _can_add_oracle(adj, b.bit_length() - 1, new_chosen, k):
+                new_cand |= b
+        if rec(new_chosen, size + 1, new_cand):
+            return True
+        return rec(chosen, size, cand ^ vbit)
+
+    rec(0, 0, cand)
+    return best_size, best_set
+
+
+def _fast_and_slow(fn, *args):
+    """``fn(*args)`` with the solver, then with its slow oracle swapped in."""
+    fast = fn(*args)
+    with patch.object(defects, "_bnb_sparse", _bnb_sparse_oracle), \
+            patch.object(defects, "_greedy_sparse", _greedy_sparse_oracle):
+        slow = fn(*args)
+    return fast, slow
+
+
+@st.composite
+def twin_rich_graphs(draw):
+    """A random base graph with each vertex blown up into a clique or an
+    independent set, cut to order 14, then relabelled at random."""
+    base = draw(st.integers(1, 7))
+    pairs = list(combinations(range(base), 2))
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    base_edges = {e for e, on in zip(pairs, present) if on}
+    sizes = draw(st.lists(st.integers(1, 4), min_size=base, max_size=base))
+    cliques = draw(st.lists(st.booleans(), min_size=base, max_size=base))
+    owner = [b for b in range(base) for _ in range(sizes[b])][:14]
+    label = draw(st.permutations(range(len(owner))))
+    edges = [(label[x], label[y]) for x, y in combinations(range(len(owner)), 2)
+             if (owner[x] == owner[y] and cliques[owner[x]])
+             or (owner[x], owner[y]) in base_edges]
+    return make_graph(len(owner), edges)
+
+
+@st.composite
+def random_graphs(draw, max_order):
+    n = draw(st.integers(0, max_order))
+    pairs = list(combinations(range(n), 2))
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return make_graph(n, [e for e, on in zip(pairs, present) if on])
+
+
+# Graphs on which twin pruning that also drops the excluded twins from
+# the branching degrees returns a different optimal set (k = 0 and k = 3).
+@example(graph6_decode("L|~|vv}myVtV~t"))
+@example(graph6_decode("M@@{?iQ_jQQULXYO?"))
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(random_graphs(14), twin_rich_graphs()))
+def test_solver_matches_slow_oracle(g):
+    for k in range(4):
+        fast, slow = _fast_and_slow(alpha_k, g, k)
+        assert fast == slow, (g, k)
+        for target in range(g.n + 2):
+            fast, slow = _fast_and_slow(find_sparse_set, g, k, target)
+            assert fast == slow, (g, k, target)
+
+
+def test_solver_matches_slow_oracle_on_witnesses():
+    checked = 0
+    for cls in GraphClass:
+        if cls is GraphClass.ALL:
+            continue
+        for k in range(4):
+            for i in range(1, 13):
+                for j in range(1, 13):
+                    try:
+                        g = witness_for(RamseyQuery(cls, k, i, j))
+                    except DomainError:
+                        continue
+                    if g is None:
+                        continue
+                    for fn, args in ((ramsey_check, (g, k, i, j)), (alpha_k, (g, k))):
+                        fast, slow = _fast_and_slow(fn, *args)
+                        assert fast == slow, (cls, k, i, j, fn.__name__)
+                    checked += 1
+    assert checked == 2787
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_graphs(16), st.integers(0, 3))
+def test_alpha_matches_exhaustive_oracle(g, k):
+    assert alpha_k(g, k)[0] == alpha_k_oracle(g, k)
+
+
+@pytest.mark.parametrize("k", [-1, -5])
+def test_negative_defect_is_refused(k):
+    g = cycle_graph(5)
+    for call in (lambda: alpha_k(g, k), lambda: find_sparse_set(g, k, 2),
+                 lambda: find_sparse_set(g, k, 0), lambda: ramsey_check(g, k, 1, 2)):
+        with pytest.raises(DomainError, match="defect k must be >= 0"):
+            call()

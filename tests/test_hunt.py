@@ -25,3 +25,9 @@ def test_hunt_is_deterministic_per_seed():
 def test_hunt_refuses_budget_below_one(budget):
     with pytest.raises(DomainError, match="hunt budget must be >= 1"):
         hunt_witness(GraphClass.FOREST, 1, 4, 4, 5, budget=budget, seed=0)
+
+
+@pytest.mark.parametrize("i, j", [(0, 4), (4, 0), (-2, 4)])
+def test_hunt_refuses_set_sizes_below_one(i, j):
+    with pytest.raises(DomainError, match="set sizes i and j must be >= 1"):
+        hunt_witness(GraphClass.FOREST, 1, i, j, 3, budget=5, seed=0)
