@@ -144,6 +144,14 @@ def is_bipartite(g: Graph) -> bool:
     return bipartition(g) is not None
 
 
+def _split_size(degs: list[int]) -> int | None:
+    """Hammer–Simeone test on a non-increasing degree sequence: the clique
+    size m = max{i : d_i >= i-1} if the graph is split, else None.  As the
+    d_i do not increase, d_i >= i-1 fails for every i after the first miss."""
+    m = next((idx for idx, d in enumerate(degs) if d < idx), len(degs))
+    return m if sum(degs[:m]) == m * (m - 1) + sum(degs[m:]) else None
+
+
 def split_partition(g: Graph) -> tuple[VertexSet, VertexSet] | None:
     """A partition (K clique, I independent) if the graph is split, else None.
 
@@ -153,16 +161,9 @@ def split_partition(g: Graph) -> tuple[VertexSet, VertexSet] | None:
     of highest degree form a clique and the rest an independent set.
     Ties are broken toward the lowest vertex index.
     """
-    n = g.n
-    if n == 0:
-        return 0, 0
-    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    degs = [g.degree(v) for v in order]
-    m = 0
-    for idx in range(n):
-        if degs[idx] >= idx:
-            m = idx + 1
-    if sum(degs[:m]) != m * (m - 1) + sum(degs[m:]):
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    m = _split_size([g.degree(v) for v in order])
+    if m is None:
         return None
     clique = 0
     for v in order[:m]:
@@ -226,3 +227,67 @@ _RECOGNIZERS = {
 
 def member(g: Graph, cls: GraphClass) -> bool:
     return _RECOGNIZERS[cls](g)
+
+
+def _forest_extension(parent: Graph):
+    """A new vertex closes a cycle iff it meets a component twice."""
+    comps = components(parent)
+    return lambda neigh: all((neigh & c).bit_count() <= 1 for c in comps)
+
+
+def _bipartite_extension(parent: Graph):
+    """The new vertex takes the other colour of every component it meets."""
+    a, b = bipartition(parent)
+    sides = [(c & a, c & b) for c in components(parent)]
+    return lambda neigh: all(not (neigh & ca and neigh & cb) for ca, cb in sides)
+
+
+def _cactus_extension(parent: Graph):
+    """A new vertex meeting a component in u alone adds a bridge.  Meeting
+    it in u and v merges it and the blocks on the u-v paths into one block,
+    a cycle iff those blocks are all bridges, i.e. iff u and v lie in one
+    tree of the bridge forest (the parent minus its cycle-block edges).
+    Meeting it in three vertices or more leaves a block that is no cycle."""
+    rows = [0] * parent.n
+    for block in _blocks(parent.adj, parent.vertex_mask()):
+        if block.bit_count() == 2:
+            u, v = bits(block)
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+    tree = {v: t for t in components(Graph(parent.n, tuple(rows))) for v in bits(t)}
+    comps = components(parent)
+
+    def admits(neigh: int) -> bool:
+        for c in comps:
+            hit = neigh & c
+            if hit & (hit - 1) and (hit.bit_count() > 2
+                                    or hit & ~tree[hit.bit_length() - 1]):
+                return False
+        return True
+    return admits
+
+
+def _split_extension(parent: Graph):
+    """Hammer–Simeone on the child's degrees: the parent's, plus 1 on N,
+    and |N| for the new vertex."""
+    degs = [row.bit_count() for row in parent.adj]
+    return lambda neigh: _split_size(sorted(
+        [d + (neigh >> u & 1) for u, d in enumerate(degs)] + [neigh.bit_count()],
+        reverse=True)) is not None
+
+
+_EXTENSION_TESTS = {
+    GraphClass.FOREST: _forest_extension,
+    GraphClass.CACTUS: _cactus_extension,
+    GraphClass.BIPARTITE: _bipartite_extension,
+    GraphClass.SPLIT: _split_extension,
+}
+
+
+def extension_test(parent: Graph, cls: GraphClass):
+    """For a class member ``parent`` of order m, a predicate on masks
+    N < 2^m, true iff ``parent`` plus a new vertex m with neighbourhood N
+    is in the class; the per-parent work is done once.  None for the
+    classes without one (cograph, all), whose children must be recognized."""
+    make = _EXTENSION_TESTS.get(cls)
+    return None if make is None else make(parent)

@@ -206,6 +206,7 @@ def alpha_k_oracle(g: Graph, k: int) -> int:
     never extended (supersets cannot recover).  Exponential, for
     cross-checking the solver on small graphs only.
     """
+    check_cell(k)
     if g.n > ORACLE_MAX_ORDER:
         raise DomainError(f"oracle limited to order {ORACLE_MAX_ORDER}, got {g.n}")
     best = 0

@@ -18,6 +18,14 @@ once, and only a tie runs the full ``_canon`` and orbit test.  The degree
 test is the same on a whole parent orbit, so orbits that fail it are not
 walked; the walk reads one image table per parent generator.
 
+Class membership of a child is decided before the walk too, from the
+parent alone, by the class's ``extension_test`` (components for forests,
+colour classes for bipartite graphs, the bridge forest for cacti, the
+Hammer–Simeone degree test for split graphs).  Membership is invariant
+under isomorphism, so it also holds on a whole orbit or on none of it, and
+each orbit keeps the same least mask.  Cographs have no such test: their
+children are recognized with ``member`` after the walk.
+
 The value searches extend only *good* graphs (no k-dense i-set, no
 k-sparse j-set).  Goodness passes to induced subgraphs, every class is
 hereditary and a canonical-deletion parent is an induced subgraph of its
@@ -36,7 +44,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .canon import _canon, _orbit, _refine
-from .classes import GraphClass, member
+from .classes import GraphClass, extension_test, member
 from .defects import ramsey_check
 from .formulas import RamseyValue
 from .graph6 import graph6_encode
@@ -80,12 +88,17 @@ def _extend_parent(parent: Graph, cls: GraphClass) -> list[Graph]:
     degrees = [row.bit_count() for row in parent.adj]
     top = max(degrees, default=0)
     top_mask = sum(1 << u for u, d in enumerate(degrees) if d == top)
+    admits = extension_test(parent, cls)
     children = []
     for neigh in range(1 << m):
         d = neigh.bit_count()
         if d < top or (d == top and neigh & top_mask):
             # m would lack maximum degree here and for every image of
             # neigh under the parent group, so the orbit is not walked
+            continue
+        if admits is not None and not admits(neigh):
+            # the child leaves the class, as does that of every image of
+            # neigh, so the orbit needs no seen marks
             continue
         if seen[neigh]:
             continue
@@ -100,7 +113,7 @@ def _extend_parent(parent: Graph, cls: GraphClass) -> list[Graph]:
         rows = tuple(row | (1 << m) if (neigh >> u) & 1 else row
                      for u, row in enumerate(parent.adj)) + (neigh,)
         child = Graph(m + 1, rows)
-        if not member(child, cls):
+        if admits is None and not member(child, cls):
             continue
         last = _refine(rows, [(1 << (m + 1)) - 1])[-1]
         if not (last >> m) & 1:

@@ -1,8 +1,12 @@
+from functools import cache
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defram import (
+    Graph,
     GraphClass,
     bipartition,
     bits,
@@ -14,6 +18,7 @@ from defram import (
     disjoint_union,
     empty_graph,
     enumerate_class,
+    enumerate_levels,
     has_induced_p4,
     induced,
     is_cactus,
@@ -26,6 +31,8 @@ from defram import (
     split_partition,
     star_graph,
 )
+from defram.classes import extension_test
+from defram.graphs import relabel
 from defram.witnesses import split_small_witness
 
 TWO_TRIANGLES = make_graph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
@@ -156,3 +163,38 @@ def test_class_from_string():
 
     with pytest.raises(DomainError):
         GraphClass.from_string("chordal")
+
+
+EXTENDABLE = [GraphClass.FOREST, GraphClass.CACTUS, GraphClass.BIPARTITE,
+              GraphClass.SPLIT]
+
+
+@cache
+def _class_levels(cls):
+    return enumerate_levels(cls, 8)
+
+
+def _child(parent, neigh):
+    """``parent`` plus a new vertex with neighbourhood ``neigh``."""
+    m = parent.n
+    return Graph(m + 1, tuple(row | (1 << m) if (neigh >> u) & 1 else row
+                              for u, row in enumerate(parent.adj)) + (neigh,))
+
+
+@pytest.mark.parametrize("cls", EXTENDABLE, ids=lambda c: c.value)
+def test_extension_test_matches_member_up_to_order_6(cls):
+    for level in _class_levels(cls)[:7]:
+        for parent in level:
+            admits = extension_test(parent, cls)
+            for neigh in range(1 << parent.n):
+                assert admits(neigh) == member(_child(parent, neigh), cls), (parent, neigh)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(EXTENDABLE), st.data())
+def test_extension_test_matches_member(cls, data):
+    n = data.draw(st.integers(0, 8), label="order")
+    parent = data.draw(st.sampled_from(_class_levels(cls)[n]), label="parent")
+    parent = relabel(parent, tuple(data.draw(st.permutations(range(n)), label="perm")))
+    neigh = data.draw(st.integers(0, (1 << n) - 1), label="mask")
+    assert extension_test(parent, cls)(neigh) == member(_child(parent, neigh), cls)

@@ -346,6 +346,7 @@ def test_alpha_matches_exhaustive_oracle(g, k):
 def test_negative_defect_is_refused(k):
     g = cycle_graph(5)
     for call in (lambda: alpha_k(g, k), lambda: find_sparse_set(g, k, 2),
-                 lambda: find_sparse_set(g, k, 0), lambda: ramsey_check(g, k, 1, 2)):
+                 lambda: find_sparse_set(g, k, 0), lambda: ramsey_check(g, k, 1, 2),
+                 lambda: alpha_k_oracle(g, k)):
         with pytest.raises(DomainError, match="defect k must be >= 0"):
             call()

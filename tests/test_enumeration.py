@@ -18,6 +18,7 @@ from defram import (
     enumerate_class,
     enumerate_levels,
     graph6_encode,
+    is_cactus,
     make_graph,
     member,
     verify_value,
@@ -61,13 +62,13 @@ def test_class_filtering_consistency(all_levels_6):
 
 # Unlabelled counts per order from 0, from the OEIS.  A048194 and A000084
 # start at order 1, so the order-0 term (the empty graph) is prepended.
-# Cacti stay unpinned: no independent derivation or citation of their
-# counts is at hand.
+# Cacti have no OEIS pin: their counts are checked against the filtered
+# all-graph levels instead (test_cactus_counts_match_filtered_all_graphs).
 OEIS_COUNTS = {
     GraphClass.FOREST:  # A005195
-        [1, 1, 2, 3, 6, 10, 20, 37, 76, 153, 329, 710],
+        [1, 1, 2, 3, 6, 10, 20, 37, 76, 153, 329, 710, 1601],
     GraphClass.BIPARTITE:  # A033995
-        [1, 1, 2, 3, 7, 13, 35, 88, 303, 1119],
+        [1, 1, 2, 3, 7, 13, 35, 88, 303, 1119, 5479],
     GraphClass.SPLIT:  # A048194
         [1, 1, 2, 4, 9, 21, 56, 164, 557, 2223],
     GraphClass.COGRAPH:  # A000084
@@ -79,6 +80,12 @@ OEIS_COUNTS = {
 def test_class_counts_match_oeis(cls):
     counts = OEIS_COUNTS[cls]
     assert [len(level) for level in enumerate_levels(cls, len(counts) - 1)] == counts
+
+
+def test_cactus_counts_match_filtered_all_graphs(all_levels_7, all_graphs_8):
+    filtered = [sum(map(is_cactus, level)) for level in all_levels_7 + [all_graphs_8]]
+    assert filtered == [1, 1, 2, 4, 9, 20, 51, 133, 380]
+    assert [len(level) for level in enumerate_levels(GraphClass.CACTUS, 8)] == filtered
 
 
 def _image(perm, mask):
