@@ -27,62 +27,46 @@ class GraphClass(enum.Enum):
             raise DomainError(f"unknown graph class {name!r}") from None
 
 
-def _blocks(adj, alive: int) -> list[int]:
-    """Biconnected blocks (vertex masks) of the subgraph induced by ``alive``.
+def blocks(g: Graph) -> list[VertexSet]:
+    """Biconnected blocks (vertex masks) of the graph.
 
     A block is a maximal 2-connected subgraph, a bridge edge, or an
-    isolated vertex.
+    isolated vertex.  Tarjan's DFS from the least vertex of each
+    component, neighbours in index order: a block is emitted when the DFS
+    returns over the tree edge from its top vertex (the one nearest the
+    root), so after every block below it.  Recursion depth is at most the
+    order, 64.
     """
-    disc = {}
-    low = {}
-    stack: list[tuple[int, int]] = []
+    adj = g.adj
+    disc: dict[int, int] = {}
+    low: dict[int, int] = {}
+    stack: list[int] = []
     out = []
-    timer = 1
 
-    def dfs(root: int):
-        nonlocal timer
-        # iterative DFS carrying (vertex, parent, neighbour iterator)
-        work = [(root, -1, iter(list(bits(adj[root] & alive))))]
-        disc[root] = low[root] = timer
-        timer += 1
-        while work:
-            u, parent, it = work[-1]
-            advanced = False
-            for v in it:
-                if v not in disc:
-                    stack.append((u, v))
-                    disc[v] = low[v] = timer
-                    timer += 1
-                    work.append((v, u, iter(list(bits(adj[v] & alive)))))
-                    advanced = True
-                    break
-                elif v != parent and disc[v] < disc[u]:
-                    stack.append((u, v))
-                    low[u] = min(low[u], disc[v])
-            if not advanced:
-                work.pop()
-                if work:
-                    pu = work[-1][0]
-                    low[pu] = min(low[pu], low[u])
-                    if low[u] >= disc[pu]:
-                        block = 0
-                        while True:
-                            a, b = stack.pop()
-                            block |= (1 << a) | (1 << b)
-                            if (a, b) == (pu, u):
-                                break
-                        out.append(block)
+    def visit(u: int) -> None:
+        disc[u] = low[u] = len(disc)
+        stack.append(u)
+        for v in bits(adj[u]):
+            if v in disc:
+                # a back edge, or the tree edge to the parent: harmless,
+                # as the block test below is >=
+                low[u] = min(low[u], disc[v])
+                continue
+            visit(v)
+            low[u] = min(low[u], low[v])
+            if low[v] >= disc[u]:  # u is the top of v's block
+                block = 1 << u
+                while not block >> v & 1:
+                    block |= 1 << stack.pop()
+                out.append(block)
 
-    for r in bits(alive):
+    for r in range(g.n):
         if r not in disc:
-            dfs(r)
-            if not (adj[r] & alive):
+            visit(r)
+            stack.pop()  # the root: no block pops its top vertex
+            if not adj[r]:
                 out.append(1 << r)
     return out
-
-
-def blocks(g: Graph) -> list[VertexSet]:
-    return _blocks(g.adj, g.vertex_mask())
 
 
 def is_forest(g: Graph) -> bool:
@@ -249,7 +233,7 @@ def _cactus_extension(parent: Graph):
     tree of the bridge forest (the parent minus its cycle-block edges).
     Meeting it in three vertices or more leaves a block that is no cycle."""
     rows = [0] * parent.n
-    for block in _blocks(parent.adj, parent.vertex_mask()):
+    for block in blocks(parent):
         if block.bit_count() == 2:
             u, v = bits(block)
             rows[u] |= 1 << v

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classes import GraphClass, _blocks, is_cactus
+from .classes import GraphClass, blocks, is_cactus
 from .graphs import (
     DomainError,
     Graph,
@@ -275,99 +275,28 @@ def class_sparse_lower_bound(cls: GraphClass, n: int, k: int) -> int:
     raise DomainError(f"no sparse lower bound for class {cls.value}")
 
 
-def _bfs_dist(adj, alive: int, sources: int) -> dict[int, int]:
-    dist = {v: 0 for v in bits(sources)}
-    frontier = sources
-    seen = sources
-    d = 0
-    while frontier:
-        nxt = 0
-        for v in bits(frontier):
-            nxt |= adj[v]
-        nxt &= alive & ~seen
-        d += 1
-        for v in bits(nxt):
-            dist[v] = d
-        seen |= nxt
-        frontier = nxt
-    return dist
-
-
 def cactus_deforesting_matching(g: Graph) -> list[tuple[int, int]]:
     """A matching whose removal turns the cactus into a forest.
 
-    Exactly one edge per cycle block.  While some component still has
-    several cycles, the two cycles furthest apart are located, an edge of
-    one avoiding its closest vertex to the other is recorded, and the
-    branch hanging behind that vertex is discarded; a lone cycle in a
-    component just loses one edge.  All ties break toward the lowest
-    vertex index.
+    Exactly one edge per cycle block, ties broken toward the lowest vertex
+    index, returned sorted.  The blocks are read in reverse Tarjan order,
+    where each block C comes before every block below it in the DFS tree.
+    So the blocks already handled meet C in its top vertex at most, and
+    the unmatched vertices of C include C minus its top: a path of >= 2
+    vertices.  C gives the edge from the least unmatched u with an
+    unmatched neighbour in C to the least such neighbour v (so u < v),
+    and both become matched.
     """
     if not is_cactus(g):
         raise DomainError("input is not a cactus")
-    adj = list(g.adj)
-    alive = g.vertex_mask()
-    removed: list[tuple[int, int]] = []
-
-    def comp_of(mask: int, start_bit: int) -> int:
-        comp = start_bit
-        frontier = start_bit
-        while frontier:
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= adj[v]
-            frontier = nxt & mask & ~comp
-            comp |= frontier
-        return comp
-
-    while True:
-        cycles = [b for b in _blocks(adj, alive) if b.bit_count() >= 3]
-        if not cycles:
-            break
-        # lowest-vertex component that still contains a cycle
-        cyc_verts = 0
-        for c in cycles:
-            cyc_verts |= c
-        comp = comp_of(alive, cyc_verts & -cyc_verts)
-        local = [c for c in cycles if c & comp]
-        if len(local) == 1:
-            cyc = local[0]
-            u = (cyc & -cyc).bit_length() - 1
-            v = ((adj[u] & cyc) & -(adj[u] & cyc)).bit_length() - 1
-            adj[u] &= ~(1 << v)
-            adj[v] &= ~(1 << u)
-            removed.append((min(u, v), max(u, v)))
+    matched = 0
+    out = []
+    for block in reversed(blocks(g)):
+        if block.bit_count() < 3:
             continue
-        best_key = None
-        pair = None
-        for a in range(len(local)):
-            dist = _bfs_dist(adj, alive, local[a])
-            for b in range(a + 1, len(local)):
-                d = min(dist[v] for v in bits(local[b]))
-                lows = sorted(((local[a] & -local[a]).bit_length() - 1,
-                               (local[b] & -local[b]).bit_length() - 1))
-                key = (-d, lows[0], lows[1])
-                if best_key is None or key < best_key:
-                    best_key = key
-                    if lows[0] == (local[a] & -local[a]).bit_length() - 1:
-                        pair = (local[a], local[b])
-                    else:
-                        pair = (local[b], local[a])
-        cyc, other = pair
-        dist_other = _bfs_dist(adj, alive, other)
-        v = min(bits(cyc), key=lambda x: (dist_other[x], x))
-        vbit = 1 << v
-        edge = None
-        for x in bits(cyc & ~vbit):
-            row = adj[x] & cyc & ~vbit & ~((1 << (x + 1)) - 1)
-            if row:
-                y = (row & -row).bit_length() - 1
-                edge = (x, y)
-                break
-        x, y = edge
-        branch = comp_of(alive & ~vbit, 1 << x)
-        removed.append(edge)
-        alive &= ~branch
-        for w in range(g.n):
-            adj[w] = adj[w] & alive if (1 << w) & alive else 0
-    return sorted(removed)
+        free = block & ~matched
+        u = next(u for u in bits(free) if g.adj[u] & free)
+        v = next(bits(g.adj[u] & free))
+        matched |= 1 << u | 1 << v
+        out.append((u, v))
+    return sorted(out)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classes import GraphClass
+from .defects import check_cell
 from .graphs import DomainError
 
 
@@ -28,10 +29,7 @@ class RamseyQuery:
     def __post_init__(self):
         if self.cls is GraphClass.ALL:
             raise DomainError("queries need a concrete graph class")
-        if self.k < 0:
-            raise DomainError("defect k must be >= 0")
-        if self.i < 1 or self.j < 1:
-            raise DomainError("set sizes i and j must be >= 1")
+        check_cell(self.k, self.i, self.j)
 
 
 @dataclass(frozen=True)
@@ -244,8 +242,7 @@ def cg_inequality(cls: GraphClass, k: int, i: int, j: int) -> str:
     Returns "holds", "fails", or "undecidable" when either cell is not
     exact.
     """
-    if k < 0 or i < 1 or j < 1:
-        raise DomainError("need k >= 0 and i, j >= 1")
+    check_cell(k, i, j)
     lhs = ramsey_value(cls, k, k + i, k + j)
     rhs = ramsey_value(cls, 0, i, j)
     if not (lhs.is_exact and rhs.is_exact):

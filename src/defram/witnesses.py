@@ -260,9 +260,8 @@ def cograph_witness(k: int, i: int, j: int) -> Graph:
 
 
 _SPLIT_NAMED_CELLS = {
-    (1, 4, 5): ("s1", 0), (1, 4, 6): ("s2", 0),
-    (2, 6, 7): ("s3", 0), (2, 6, 8): ("s4", 0),
-    (2, 5, 6): ("s5", 0), (2, 5, 7): ("s6", 0),
+    (1, 4, 5): "s1", (1, 4, 6): "s2", (2, 6, 7): "s3",
+    (2, 6, 8): "s4", (2, 5, 6): "s5", (2, 5, 7): "s6",
 }
 
 
@@ -296,8 +295,7 @@ def _construct(cls: GraphClass, k: int, i: int, j: int) -> Graph | None:
             return split_witness_diagonal(k, i)
         a, b = min(i, j), max(i, j)
         if (k, a, b) in _SPLIT_NAMED_CELLS:
-            tag, extra = _SPLIT_NAMED_CELLS[(k, a, b)]
-            g = split_small_witness(tag, extra)
+            g = split_small_witness(_SPLIT_NAMED_CELLS[(k, a, b)])
         elif k == 2 and a == 5 and 8 <= b <= 12:
             g = split_small_witness("s7", b - 8)
         else:

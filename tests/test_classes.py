@@ -1,3 +1,4 @@
+import hashlib
 from functools import cache
 from itertools import combinations
 
@@ -60,6 +61,17 @@ def test_blocks_shapes():
     assert sorted(b.bit_count() for b in bl) == [3, 3]
     assert sorted(b.bit_count() for b in blocks(path_graph(4))) == [2, 2, 2]
     assert blocks(empty_graph(2)) == [1, 2]
+
+
+# sha256 of the block lists, in Tarjan order, of every graph of order <= 7:
+# the deforesting matching reads this order
+BLOCKS_SHA256 = "ad72e2ac968bda68bb3c04f0cd58ea7265317a634ce5b5319f142c6e7fb415e3"
+
+
+def test_blocks_are_pinned(all_levels_7):
+    text = "".join(" ".join(map(str, blocks(g))) + "\n"
+                   for level in all_levels_7 for g in level)
+    assert hashlib.sha256(text.encode()).hexdigest() == BLOCKS_SHA256
 
 
 def test_bipartition_examples():

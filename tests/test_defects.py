@@ -13,6 +13,7 @@ from defram import (
     alpha_k,
     alpha_k_oracle,
     bits,
+    blocks,
     cactus_deforesting_matching,
     class_sparse_lower_bound,
     complement,
@@ -187,17 +188,45 @@ def test_matching_refuses_non_cactus():
         cactus_deforesting_matching(complete_graph(4))
 
 
+def _assert_deforesting(g, m):
+    """m is sorted, its pairs are edges, no vertex repeats, there is one
+    pair per cycle block, and removing the pairs leaves a forest."""
+    edges = set(g.edges())
+    assert m == sorted(m) and set(m) <= edges
+    touched = [v for e in m for v in e]
+    assert len(touched) == len(set(touched))
+    assert len(m) == sum(b.bit_count() >= 3 for b in blocks(g))
+    assert is_forest(make_graph(g.n, edges - set(m)))
+
+
 def test_matching_property_small():
     for n in range(8):
         for g in enumerate_class(GraphClass.CACTUS, n):
-            m = cactus_deforesting_matching(g)
-            seen = set()
-            for u, v in m:
-                assert u not in seen and v not in seen
-                seen.update((u, v))
-            removed = set(m)
-            left = make_graph(g.n, [e for e in g.edges() if e not in removed])
-            assert is_forest(left)
+            _assert_deforesting(g, cactus_deforesting_matching(g))
+
+
+@st.composite
+def random_cacti(draw):
+    """A cactus of order 1..64 grown from one vertex by attaching bridges
+    and cycles of length 3..6 at random existing vertices, then relabelled
+    at random."""
+    order = draw(st.integers(1, 64))
+    n, edges = 1, []
+    while n < order:
+        size = draw(st.integers(2, min(6, order - n + 1)))
+        ring = [draw(st.integers(0, n - 1)), *range(n, n + size - 1)]
+        n += size - 1
+        edges += zip(ring, ring[1:])
+        if size > 2:
+            edges.append((ring[-1], ring[0]))
+    label = draw(st.permutations(range(n)))
+    return make_graph(n, [(label[u], label[v]) for u, v in edges])
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_cacti())
+def test_matching_property_random_cacti(g):
+    _assert_deforesting(g, cactus_deforesting_matching(g))
 
 
 def _can_add_oracle(adj, v: int, chosen: int, k: int) -> bool:

@@ -215,6 +215,13 @@ def test_cg_inequality_examples():
     assert cg_inequality(CA, 4, 3, 20) == "undecidable"
 
 
+def test_cg_inequality_refuses_outside_the_cell_domain():
+    with pytest.raises(DomainError, match="defect k must be >= 0"):
+        cg_inequality(FO, -1, 4, 4)
+    with pytest.raises(DomainError, match="set sizes i and j must be >= 1"):
+        cg_inequality(FO, 1, 0, 4)
+
+
 def test_provenance_tags_are_stable():
     assert ramsey_value(FO, 1, 4, 4).provenance == "forest-main"
     assert ramsey_value(CA, 5, 8, 12).provenance == "cactus-open-bounds"
