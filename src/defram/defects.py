@@ -121,15 +121,30 @@ def _bnb_sparse(adj, cand: int, k: int, floor_size: int, floor_set: int,
                     bv, bd = v, d
             vbit = 1 << bv
             if not dead & vbit:
-                new_chosen, new_sat = _add(adj, bv, chosen, sat, k)
+                # _add inlined and bits() unrolled: in this hot loop a
+                # generator costs more than the work it yields
+                nb = adj[bv] & chosen
+                new_chosen = chosen | vbit
+                new_sat = sat | vbit if nb.bit_count() == k else sat
+                while nb:
+                    b = nb & -nb
+                    nb ^= b
+                    if (adj[b.bit_length() - 1] & new_chosen).bit_count() == k:
+                        new_sat |= b
                 # the candidates passed the filter against chosen and sat:
                 # only bv's neighbours and those of new saturated ones can fail
                 new_cand = cand ^ vbit
-                for u in bits(new_sat ^ sat):
-                    new_cand &= ~adj[u]
-                for w in bits(new_cand & adj[bv]):
-                    if (adj[w] & new_chosen).bit_count() > k:
-                        new_cand ^= 1 << w
+                m = new_sat ^ sat
+                while m:
+                    b = m & -m
+                    m ^= b
+                    new_cand &= ~adj[b.bit_length() - 1]
+                m = new_cand & adj[bv]
+                while m:
+                    b = m & -m
+                    m ^= b
+                    if (adj[b.bit_length() - 1] & new_chosen).bit_count() > k:
+                        new_cand ^= b
                 if rec(new_chosen, new_sat, size + 1, new_cand, dead & new_cand):
                     return True
             cand ^= vbit
@@ -137,20 +152,44 @@ def _bnb_sparse(adj, cand: int, k: int, floor_size: int, floor_set: int,
         return False
 
     rec(0, 0, 0, cand, 0)
+    del rec  # rec's closure holds rec: free the cycle now, not at the next GC
     return best_size, best_set
 
 
-def alpha_k(g: Graph, k: int) -> tuple[int, VertexSet]:
+def alpha_k(g: Graph, k: int, *, lo: int = 0,
+            hi: int | None = None) -> tuple[int, VertexSet]:
     """Maximum k-sparse set size with one optimal witness.
 
-    Computed per connected component and summed.
+    Computed per connected component and summed.  Known bounds
+    ``lo <= alpha_k(g, k) <= hi`` cut the search short and change nothing
+    in the result, set included.  The branching order of ``_bnb_sparse``
+    (its vertex choice and its dead twins) does not depend on the best
+    size so far, and a valid bound prunes only subtrees that hold no strict
+    improvement.  So the search still meets the same first maximum set in
+    DFS order, and a stop at the true maximum just ends it there.  The
+    bounds per component: the optimum of a component is at most ``hi``
+    less the exact sizes before it and the greedy sizes after it; on the
+    last one, ``lo`` less the sizes before it, minus one, lies strictly
+    below its optimum and serves as the floor.
     """
     check_cell(k)
+    if hi is not None and lo > hi:
+        raise DomainError(f"alpha_k bounds need lo <= hi, got {lo} > {hi}")
+    comps = components(g)
+    greedy = [_greedy_sparse(g.adj, comp, k) for comp in comps]
+    later = sum(s.bit_count() for s in greedy)
     total = 0
     witness = 0
-    for comp in components(g):
-        greedy = _greedy_sparse(g.adj, comp, k)
-        size, best = _bnb_sparse(g.adj, comp, k, greedy.bit_count(), greedy, None)
+    for idx, (comp, floor_set) in enumerate(zip(comps, greedy)):
+        floor = floor_set.bit_count()
+        later -= floor
+        stop = None if hi is None else hi - total - later
+        if stop is not None and stop <= floor:
+            size, best = floor, floor_set
+        else:
+            if idx == len(comps) - 1 and lo - total - 1 > floor:
+                floor, floor_set = lo - total - 1, 0
+            size, best = _bnb_sparse(g.adj, comp, k, floor, floor_set, stop)
         total += size
         witness |= best
     return total, witness

@@ -19,19 +19,33 @@ from .graphs import DomainError, Graph, bits, complement, empty_graph
 DEFAULT_HUNT_BUDGET = 20000
 
 
-def _score(g: Graph, k: int, i: int, j: int):
-    """(score, oversized sparse set or 0, oversized dense set or 0).
+def _score(g: Graph, k: int, i: int, j: int,
+           parent: tuple[Graph, tuple[int, int]] | None = None):
+    """(score, oversized sparse set or 0, oversized dense set or 0, sizes).
 
     The score is (worst excess, total excess): the primary part is zero
     exactly on witnesses, the secondary steers ties toward states with
-    only one side left to repair."""
-    s_size, s_set = alpha_k(g, k)
-    d_size, d_set = alpha_k(complement(g), k)
+    only one side left to repair.  ``sizes`` is (alpha_k of g, alpha_k of
+    its complement).  With ``parent`` = (graph, its sizes), both solves
+    are bound-seeded: adding an edge costs a k-sparse set at most one
+    vertex (drop an endpoint), so with ``a`` pairs added and ``r`` removed
+    the sparse size moves within [-a, +r] and the dense one within [-r, +a].
+    """
+    if parent is None:
+        s_size, s_set = alpha_k(g, k)
+        d_size, d_set = alpha_k(complement(g), k)
+    else:
+        old, (s0, d0) = parent
+        added = sum((row & ~was).bit_count() for row, was in zip(g.adj, old.adj)) // 2
+        removed = sum((was & ~row).bit_count() for row, was in zip(g.adj, old.adj)) // 2
+        s_size, s_set = alpha_k(g, k, lo=s0 - added, hi=s0 + removed)
+        d_size, d_set = alpha_k(complement(g), k, lo=d0 - removed, hi=d0 + added)
     s_excess = max(0, s_size - (j - 1))
     d_excess = max(0, d_size - (i - 1))
     return ((max(s_excess, d_excess), s_excess + d_excess),
             s_set if s_excess else 0,
-            d_set if d_excess else 0)
+            d_set if d_excess else 0,
+            (s_size, d_size))
 
 
 def _toggle(g: Graph, *pairs: tuple[int, int]) -> Graph:
@@ -57,6 +71,8 @@ def _random_member(cls: GraphClass, n: int, rng: random.Random) -> Graph:
 
 
 def _sparse_repair(g: Graph, rng: random.Random, sparse_set: int) -> tuple[int, int] | None:
+    if sparse_set.bit_count() < 2:  # no pair to join; draw nothing from rng
+        return None
     inside = list(bits(sparse_set))
     for _ in range(8):
         u, v = rng.sample(inside, 2)
@@ -66,13 +82,12 @@ def _sparse_repair(g: Graph, rng: random.Random, sparse_set: int) -> tuple[int, 
 
 
 def _dense_repair(g: Graph, rng: random.Random, dense_set: int) -> tuple[int, int] | None:
-    inside = [(u, v) for (u, v) in g.edges()
-              if (dense_set >> u) & 1 and (dense_set >> v) & 1]
+    inside = [(u, v) for u in bits(dense_set) for v in bits(g.adj[u] & dense_set)
+              if u < v]
     return rng.choice(inside) if inside else None
 
 
 def _mutate(g: Graph, rng: random.Random, sparse_set: int, dense_set: int) -> Graph | None:
-    n = g.n
     targeted = rng.random() < 0.8
     if targeted and (sparse_set or dense_set):
         if sparse_set and dense_set:
@@ -90,8 +105,7 @@ def _mutate(g: Graph, rng: random.Random, sparse_set: int, dense_set: int) -> Gr
             if drop:
                 return _toggle(g, drop)
     present = g.edges()
-    absent = [(u, v) for u in range(n) for v in range(u + 1, n)
-              if not g.has_edge(u, v)]
+    absent = complement(g).edges()
     move = rng.randrange(3)
     if move == 0 and absent:          # add
         return _toggle(g, rng.choice(absent))
@@ -117,7 +131,7 @@ def hunt_witness(cls: GraphClass, k: int, i: int, j: int, n: int,
     restart_after = max(300, budget // 10)
     while moves < budget:
         g = _random_member(cls, n, rng)
-        score, s_set, d_set = _score(g, k, i, j)
+        score, s_set, d_set, sizes = _score(g, k, i, j)
         stale = 0
         while moves < budget and stale < restart_after:
             if score[0] == 0:
@@ -129,10 +143,10 @@ def hunt_witness(cls: GraphClass, k: int, i: int, j: int, n: int,
             if candidate is None or not member(candidate, cls):
                 stale += 1
                 continue
-            cand_score, cand_s, cand_d = _score(candidate, k, i, j)
+            cand_score, cand_s, cand_d, cand_sizes = _score(candidate, k, i, j, (g, sizes))
             if cand_score <= score or rng.random() < 0.05:
                 stale = 0 if cand_score < score else stale + 1
-                g, score, s_set, d_set = candidate, cand_score, cand_s, cand_d
+                g, score, s_set, d_set, sizes = candidate, cand_score, cand_s, cand_d, cand_sizes
             else:
                 stale += 1
     return None

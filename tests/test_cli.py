@@ -82,6 +82,15 @@ def test_hunt_output_is_pinned(capsys):
     assert code == 0 and out == "J_?C?A?bTo_"
 
 
+def test_hunt_one_vertex_sparse_set_is_a_miss(capsys):
+    # with j = 1 the oversized sparse set can hold a single vertex, and the
+    # targeted repair has no pair inside it to join
+    for args in (("forest", "-k", "0", "-i", "1", "-j", "1", "-n", "1"),
+                 ("all", "-k", "0", "-i", "5", "-j", "1", "-n", "3")):
+        code, out = run(capsys, "hunt", *args)
+        assert code == 1 and out == "no witness found (proves nothing)"
+
+
 def test_worker_count_below_one_is_refused(capsys):
     for bad in ("0", "-1"):
         assert run_cli(["--workers", bad, "enumerate", "forest", "-n", "3"]) == 3

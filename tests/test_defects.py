@@ -19,6 +19,7 @@ from defram import (
     complement,
     complete_graph,
     cycle_graph,
+    disjoint_union,
     empty_graph,
     enumerate_class,
     find_sparse_set,
@@ -369,6 +370,55 @@ def test_solver_matches_slow_oracle_on_witnesses():
 @given(random_graphs(16), st.integers(0, 3))
 def test_alpha_matches_exhaustive_oracle(g, k):
     assert alpha_k(g, k)[0] == alpha_k_oracle(g, k)
+
+
+def disconnected_graphs():
+    """Two random graphs side by side, so the bounds meet several components."""
+    return st.builds(disjoint_union, random_graphs(8), random_graphs(8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(random_graphs(16), twin_rich_graphs(), disconnected_graphs()),
+       st.integers(0, 3))
+def test_alpha_bounds_change_nothing(g, k):
+    exact = alpha_k(g, k)
+    for lo in range(exact[0] + 1):
+        for hi in (*range(exact[0], g.n + 1), None):
+            assert alpha_k(g, k, lo=lo, hi=hi) == exact, (g, k, lo, hi)
+
+
+def test_alpha_refuses_crossed_bounds():
+    with pytest.raises(DomainError, match="lo <= hi"):
+        alpha_k(cycle_graph(5), 1, lo=3, hi=2)
+
+
+def _toggled(g, pairs):
+    """g with each pair's adjacency flipped, built from edge lists alone."""
+    return make_graph(g.n, set(g.edges()) ^ set(pairs))
+
+
+@st.composite
+def toggles(draw):
+    """A random graph of order 2..12 and one or two distinct vertex pairs."""
+    g = draw(random_graphs(12).filter(lambda g: g.n >= 2))
+    pairs = list(combinations(range(g.n), 2))
+    chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=2, unique=True))
+    return g, chosen
+
+
+@settings(max_examples=150, deadline=None)
+@given(toggles(), st.integers(0, 3))
+def test_toggle_moves_alpha_by_at_most_the_pair_counts(case, k):
+    # the lemma behind hunt's bounds, checked on the oracle alone: adding
+    # an edge costs a k-sparse set at most one vertex
+    g, pairs = case
+    h = _toggled(g, pairs)
+    added = sum(not g.has_edge(u, v) for u, v in pairs)
+    removed = len(pairs) - added
+    s0, s = alpha_k_oracle(g, k), alpha_k_oracle(h, k)
+    d0, d = alpha_k_oracle(complement(g), k), alpha_k_oracle(complement(h), k)
+    assert s0 - added <= s <= s0 + removed
+    assert d0 - removed <= d <= d0 + added
 
 
 @pytest.mark.parametrize("k", [-1, -5])
