@@ -224,10 +224,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process: each holds reference cycles that only the GC frees
+_PARSER = build_parser()
+
+
 def run_cli(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse uses 2 for usage errors
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     out_path = getattr(args, "out", None)
@@ -243,8 +246,13 @@ def run_cli(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_REFUSED
     if out_path and sink.getvalue():
-        with open(out_path, "w", encoding="ascii") as fh:
-            fh.write(sink.getvalue())
+        try:
+            with open(out_path, "w", encoding="ascii") as fh:
+                fh.write(sink.getvalue())
+        except OSError as exc:
+            print(f"error: cannot write file {out_path!r}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return EXIT_USAGE
     return code
 
 

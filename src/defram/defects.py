@@ -42,28 +42,20 @@ def check_cell(k: int, i: int = 1, j: int = 1) -> None:
         raise DomainError("defect k must be >= 0")
 
 
-def _add(adj, v: int, chosen: int, sat: int, k: int) -> tuple[int, int]:
-    """``chosen`` plus v, and its saturation mask: the chosen vertices
-    with exactly k chosen neighbours.  Only v and its chosen neighbours
-    change degree, so only they can join the mask."""
-    nb = adj[v] & chosen
-    chosen |= 1 << v
-    if nb.bit_count() == k:
-        sat |= 1 << v
-    for u in bits(nb):
-        if (adj[u] & chosen).bit_count() == k:
-            sat |= 1 << u
-    return chosen, sat
-
-
 def _greedy_sparse(adj, cand: int, k: int) -> int:
-    """Greedy k-sparse subset of ``cand`` (ascending degree, then index)."""
+    """Greedy k-sparse subset of ``cand`` (ascending degree, then index):
+    v joins if it has at most k chosen neighbours and none of them already
+    has k."""
     verts = sorted(bits(cand), key=lambda v: ((adj[v] & cand).bit_count(), v))
-    chosen = sat = 0
+    chosen = 0
     for v in verts:
         nb = adj[v] & chosen
-        if not nb & sat and nb.bit_count() <= k:
-            chosen, sat = _add(adj, v, chosen, sat, k)
+        if nb.bit_count() <= k:
+            for u in bits(nb):
+                if (adj[u] & chosen).bit_count() == k:
+                    break
+            else:
+                chosen |= 1 << v
     return chosen
 
 
@@ -121,7 +113,7 @@ def _bnb_sparse(adj, cand: int, k: int, floor_size: int, floor_set: int,
                     bv, bd = v, d
             vbit = 1 << bv
             if not dead & vbit:
-                # _add inlined and bits() unrolled: in this hot loop a
+                # bv joins chosen; bits() unrolled: in this hot loop a
                 # generator costs more than the work it yields
                 nb = adj[bv] & chosen
                 new_chosen = chosen | vbit
@@ -160,82 +152,63 @@ def alpha_k(g: Graph, k: int, *, lo: int = 0,
             hi: int | None = None) -> tuple[int, VertexSet]:
     """Maximum k-sparse set size with one optimal witness.
 
-    Computed per connected component and summed.  Known bounds
-    ``lo <= alpha_k(g, k) <= hi`` cut the search short and change nothing
-    in the result, set included.  The branching order of ``_bnb_sparse``
-    (its vertex choice and its dead twins) does not depend on the best
-    size so far, and a valid bound prunes only subtrees that hold no strict
-    improvement.  So the search still meets the same first maximum set in
-    DFS order, and a stop at the true maximum just ends it there.  The
-    bounds per component: the optimum of a component is at most ``hi``
-    less the exact sizes before it and the greedy sizes after it; on the
-    last one, ``lo`` less the sizes before it, minus one, lies strictly
-    below its optimum and serves as the floor.
+    Computed per connected component and summed.  Bounds ``lo <= hi`` cut
+    the search short.  If ``lo <= alpha_k(g, k) <= hi``, the result is the
+    unbounded one, set included; below ``lo``, the size returned is below
+    ``lo``; above ``hi``, the result is a k-sparse set of at least ``hi``
+    vertices and its size.  The branching order of ``_bnb_sparse`` (its
+    vertex choice and its dead twins) does not depend on the best size so
+    far, and a valid bound prunes only subtrees with no strict improvement,
+    so the search meets the same first maximum set in DFS order.  Per
+    component, the optimum is at most ``hi`` less the exact sizes before it
+    and the greedy sizes after it (the stop), and at least ``need``: ``lo``
+    less the sizes before it and the orders of the components after it.
+    So ``need - 1`` is a floor, and missing ``need`` ends the search below
+    ``lo``.
     """
     check_cell(k)
     if hi is not None and lo > hi:
         raise DomainError(f"alpha_k bounds need lo <= hi, got {lo} > {hi}")
     comps = components(g)
-    greedy = [_greedy_sparse(g.adj, comp, k) for comp in comps]
+    # a one-vertex component is its own greedy set
+    greedy = [c if c & (c - 1) == 0 else _greedy_sparse(g.adj, c, k) for c in comps]
     later = sum(s.bit_count() for s in greedy)
-    total = 0
-    witness = 0
-    for idx, (comp, floor_set) in enumerate(zip(comps, greedy)):
+    rest = g.n
+    total = witness = 0
+    for comp, floor_set in zip(comps, greedy):
         floor = floor_set.bit_count()
         later -= floor
+        rest -= comp.bit_count()
+        need = lo - total - rest
         stop = None if hi is None else hi - total - later
         if stop is not None and stop <= floor:
             size, best = floor, floor_set
         else:
-            if idx == len(comps) - 1 and lo - total - 1 > floor:
-                floor, floor_set = lo - total - 1, 0
+            if need - 1 > floor:
+                floor, floor_set = need - 1, 0
             size, best = _bnb_sparse(g.adj, comp, k, floor, floor_set, stop)
         total += size
         witness |= best
-    return total, witness
-
-
-def _trim(mask: int, size: int) -> int:
-    out = 0
-    for v in bits(mask):
-        out |= 1 << v
-        size -= 1
-        if size == 0:
+        if size < need:
             break
-    return out
+    return total, witness
 
 
 def find_sparse_set(g: Graph, k: int, target: int) -> VertexSet | None:
     """A k-sparse set of exactly ``target`` vertices, or None.
 
-    Decision variant of alpha_k: exits as soon as the target is reached,
-    and abandons a graph early once the remaining components cannot make
-    up the difference.
+    ``alpha_k`` with ``lo = hi = target``: it stops once the target is
+    reached and gives up once the components left cannot make it up.
     """
     check_cell(k)
     if target <= 0:
         return 0
-    comps = components(g)
-    sizes = [c.bit_count() for c in comps]
-    acc_size = 0
-    acc_set = 0
-    for idx, comp in enumerate(comps):
-        rest = sum(sizes[idx + 1:])
-        need_here = target - acc_size - rest  # this component must deliver this many
-        greedy = _greedy_sparse(g.adj, comp, k)
-        if greedy.bit_count() >= target - acc_size:
-            return _trim(acc_set | greedy, target)
-        floor = max(greedy.bit_count(), need_here - 1)
-        floor_set = greedy if greedy.bit_count() >= floor else 0
-        size, best = _bnb_sparse(g.adj, comp, k, floor, floor_set,
-                                 stop_at=target - acc_size)
-        if size < need_here:
-            return None
-        acc_size += size
-        acc_set |= best
-        if acc_size >= target:
-            return _trim(acc_set, target)
-    return None
+    size, found = alpha_k(g, k, lo=target, hi=target)
+    if size < target:
+        return None
+    while found.bit_count() > target:  # keep the lowest target vertices
+        found ^= 1 << found.bit_length() - 1
+    return found
 
 
 def alpha_k_oracle(g: Graph, k: int) -> int:

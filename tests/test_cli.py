@@ -1,3 +1,5 @@
+import argparse
+import gc
 import json
 import os
 import subprocess
@@ -211,3 +213,24 @@ def test_refused_witness_writes_no_file(tmp_path, capsys):
     code, _ = run(capsys, "witness", "bipartite", "-k", "1", "-i", "4", "-j", "10",
                   "--out", str(path))
     assert code == 3 and not path.exists()
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    missing_dir = str(tmp_path / "missing" / "x.g6")
+    assert run_cli(["enumerate", "all", "-n", "5", "--out", missing_dir]) == 2
+    assert f"error: cannot write file {missing_dir!r}" in capsys.readouterr().err
+    assert run_cli(["witness", "forest", "-k", "1", "-i", "4", "-j", "4",
+                    "--out", str(tmp_path)]) == 2
+    assert f"error: cannot write file {str(tmp_path)!r}" in capsys.readouterr().err
+
+
+def test_parser_leaves_no_garbage(capsys):
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run_cli(["formula", "forest", "-k", "1", "-i", "4", "-j", "4"])
+        gc.collect()
+        assert not any(isinstance(obj, argparse.ArgumentParser) for obj in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()

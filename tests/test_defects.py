@@ -381,10 +381,20 @@ def disconnected_graphs():
 @given(st.one_of(random_graphs(16), twin_rich_graphs(), disconnected_graphs()),
        st.integers(0, 3))
 def test_alpha_bounds_change_nothing(g, k):
+    # bounds that hold change nothing; for bounds that fail, the contract
+    # of alpha_k, checked against the exhaustive oracle
+    alpha = alpha_k_oracle(g, k)
     exact = alpha_k(g, k)
-    for lo in range(exact[0] + 1):
-        for hi in (*range(exact[0], g.n + 1), None):
-            assert alpha_k(g, k, lo=lo, hi=hi) == exact, (g, k, lo, hi)
+    for lo in range(g.n + 2):
+        for hi in (*range(lo, g.n + 2), None):
+            size, found = alpha_k(g, k, lo=lo, hi=hi)
+            if alpha < lo:
+                assert size < lo, (g, k, lo, hi)
+            elif hi is not None and alpha > hi:
+                assert found.bit_count() == size >= hi, (g, k, lo, hi)
+                assert is_k_sparse(g, found, k), (g, k, lo, hi)
+            else:
+                assert (size, found) == exact, (g, k, lo, hi)
 
 
 def test_alpha_refuses_crossed_bounds():
