@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import enum
 
-from .graphs import DomainError, Graph, VertexSet, bits, components, complement, induced
+from .graphs import (DomainError, Graph, VertexSet, add_vertex, bits, components, complement,
+                     induced)
 
 
 class GraphClass(enum.Enum):
@@ -265,13 +266,14 @@ _EXTENSION_TESTS = {
     GraphClass.CACTUS: _cactus_extension,
     GraphClass.BIPARTITE: _bipartite_extension,
     GraphClass.SPLIT: _split_extension,
+    # no shortcut from the parent: the child itself is recognized
+    GraphClass.COGRAPH: lambda parent: lambda neigh: is_cograph(add_vertex(parent, neigh)),
+    GraphClass.ALL: lambda parent: lambda neigh: True,
 }
 
 
 def extension_test(parent: Graph, cls: GraphClass):
     """For a class member ``parent`` of order m, a predicate on masks
     N < 2^m, true iff ``parent`` plus a new vertex m with neighbourhood N
-    is in the class; the per-parent work is done once.  None for the
-    classes without one (cograph, all), whose children must be recognized."""
-    make = _EXTENSION_TESTS.get(cls)
-    return None if make is None else make(parent)
+    is in the class; the per-parent work is done once."""
+    return _EXTENSION_TESTS[cls](parent)

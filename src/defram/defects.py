@@ -240,14 +240,20 @@ def alpha_k_oracle(g: Graph, k: int) -> int:
 class WitnessReport:
     """Outcome of checking one graph for a k-dense i-set / k-sparse j-set."""
 
-    has_dense: bool
-    has_sparse: bool
     dense_witness: VertexSet | None
     sparse_witness: VertexSet | None
 
     @property
+    def has_dense(self) -> bool:
+        return self.dense_witness is not None
+
+    @property
+    def has_sparse(self) -> bool:
+        return self.sparse_witness is not None
+
+    @property
     def neither(self) -> bool:
-        return not (self.has_dense or self.has_sparse)
+        return self.dense_witness is None and self.sparse_witness is None
 
 
 def ramsey_check(g: Graph, k: int, i: int, j: int) -> WitnessReport:
@@ -255,12 +261,7 @@ def ramsey_check(g: Graph, k: int, i: int, j: int) -> WitnessReport:
     check_cell(k, i, j)
     sparse = find_sparse_set(g, k, j)
     dense = find_sparse_set(complement(g), k, i)
-    return WitnessReport(
-        has_dense=dense is not None,
-        has_sparse=sparse is not None,
-        dense_witness=dense,
-        sparse_witness=sparse,
-    )
+    return WitnessReport(dense_witness=dense, sparse_witness=sparse)
 
 
 def sparsity_remainder(n: int) -> int:

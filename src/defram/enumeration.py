@@ -18,13 +18,12 @@ once, and only a tie runs the full ``_canon`` and orbit test.  The degree
 test is the same on a whole parent orbit, so orbits that fail it are not
 walked; the walk reads one image table per parent generator.
 
-Class membership of a child is decided before the walk too, from the
-parent alone, by the class's ``extension_test`` (components for forests,
-colour classes for bipartite graphs, the bridge forest for cacti, the
-Hammer–Simeone degree test for split graphs).  Membership is invariant
-under isomorphism, so it also holds on a whole orbit or on none of it, and
-each orbit keeps the same least mask.  Cographs have no such test: their
-children are recognized with ``member`` after the walk.
+Class membership of a child is decided once per orbit, after the walk,
+by the class's ``extension_test``: from the parent alone for forests
+(components), bipartite graphs (colour classes), cacti (the bridge
+forest) and split graphs (the Hammer–Simeone degree test), by the
+recognizer for cographs.  Membership is invariant under isomorphism, so
+it holds on a whole orbit or on none of it.
 
 The value searches extend only *good* graphs (no k-dense i-set, no
 k-sparse j-set).  Goodness passes to induced subgraphs, every class is
@@ -44,11 +43,11 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from .canon import _canon, _orbit, _refine
-from .classes import GraphClass, extension_test, member
+from .classes import GraphClass, extension_test
 from .defects import ramsey_check
 from .formulas import RamseyValue
 from .graph6 import graph6_encode
-from .graphs import DomainError, Graph
+from .graphs import DomainError, Graph, add_vertex
 
 ENV_BUDGET = "DEFRAM_BUDGET"
 DEFAULT_BUDGETS = {GraphClass.FOREST: 12, GraphClass.SPLIT: 12}
@@ -96,10 +95,6 @@ def _extend_parent(parent: Graph, cls: GraphClass) -> list[Graph]:
             # m would lack maximum degree here and for every image of
             # neigh under the parent group, so the orbit is not walked
             continue
-        if admits is not None and not admits(neigh):
-            # the child leaves the class, as does that of every image of
-            # neigh, so the orbit needs no seen marks
-            continue
         if seen[neigh]:
             continue
         seen[neigh] = 1
@@ -110,16 +105,14 @@ def _extend_parent(parent: Graph, cls: GraphClass) -> list[Graph]:
                 if not seen[img]:
                     seen[img] = 1
                     orbit.append(img)
-        rows = tuple(row | (1 << m) if (neigh >> u) & 1 else row
-                     for u, row in enumerate(parent.adj)) + (neigh,)
-        child = Graph(m + 1, rows)
-        if admits is None and not member(child, cls):
+        if not admits(neigh):
             continue
-        last = _refine(rows, [(1 << (m + 1)) - 1])[-1]
+        child = add_vertex(parent, neigh)
+        last = _refine(child.adj, [(1 << (m + 1)) - 1])[-1]
         if not (last >> m) & 1:
             continue
         if last != 1 << m:
-            _, lab, cgens = _canon(m + 1, rows)
+            _, lab, cgens = _canon(m + 1, child.adj)
             if lab[m] != m and lab[m] not in _orbit(cgens, m):
                 continue
         children.append(child)

@@ -125,6 +125,13 @@ def complete_bipartite(a: int, b: int) -> Graph:
     return make_graph(a + b, [(u, a + v) for u in range(a) for v in range(b)])
 
 
+def add_vertex(g: Graph, neigh: VertexSet) -> Graph:
+    """g plus a new vertex g.n adjacent to the vertices of ``neigh``."""
+    m = g.n
+    return Graph(m + 1, tuple(row | (1 << m) if (neigh >> u) & 1 else row
+                              for u, row in enumerate(g.adj)) + (neigh,))
+
+
 def complement(g: Graph) -> Graph:
     full = g.vertex_mask()
     return Graph(g.n, tuple((full & ~row) & ~(1 << u) for u, row in enumerate(g.adj)))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .classes import GraphClass, member
 from .defects import ramsey_check
-from .formulas import RamseyQuery, RamseyValue, defective_ramsey
+from .formulas import RamseyQuery, defective_ramsey
 from .graphs import (
     DomainError,
     Graph,
@@ -87,25 +87,8 @@ def cactus_triangle_chain(length: int) -> Graph:
 
 
 def cactus_witness(k: int, i: int, j: int) -> Graph:
-    """Extremal cactus for a proven exact cell with k >= 1."""
-    cell = defective_ramsey(RamseyQuery(GraphClass.CACTUS, k, i, j))
-    if not cell.is_exact:
-        raise DomainError(f"cell ({k},{i},{j}) is not exact: {cell}")
-    if k < 1 or i < k + 3 or j < k + 2:
-        raise DomainError("handled cells have k >= 1, i >= k+3, j >= k+2")
-    if k == 1:
-        if i == 4:
-            return cycle_graph(3) if j == 3 else cactus_triangle_chain(j)
-        if j % 2:
-            return disjoint_union_all([cycle_graph(4)] * ((j - 1) // 2))
-        return disjoint_union_all([cycle_graph(4)] * ((j - 2) // 2) + [empty_graph(1)])
-    if k >= 4 and i == k + 3:
-        # bounds pinch onto the forest value here; the forest witness is one
-        return forest_witness(k, j)
-    s, t = divmod(j - 1, k)
-    if t != 0:
-        return disjoint_union(cactus_square_chain(k, s - 1), empty_graph(t - 1))
-    return disjoint_union(cactus_square_chain(k, s - 2), empty_graph(k - 1))
+    """Extremal cactus for a proven exact cell."""
+    return _exact_witness(GraphClass.CACTUS, k, i, j)
 
 
 def bipartite_cage(index: int) -> Graph:
@@ -147,29 +130,7 @@ def _cage_decomposition(amount: int) -> tuple[int, int, int, int] | None:
 
 def bipartite_witness(k: int, i: int, j: int) -> Graph:
     """Extremal bipartite graph for a proven exact cell."""
-    cell = defective_ramsey(RamseyQuery(GraphClass.BIPARTITE, k, i, j))
-    if not cell.is_exact:
-        raise DomainError(f"cell ({k},{i},{j}) is not exact: {cell}")
-    if k == 0 and i >= 3:
-        return complete_bipartite(j - 1, j - 1)
-    if k == 1 and i >= 5:
-        return complete_bipartite(j - 1, j - 1)
-    if k == 1 and i == 4:
-        named = {3: star_graph(2), 4: star_graph(3), 5: cycle_graph(6), 6: cycle_graph(8)}
-        if j in named:
-            return named[j]
-        parts = _cage_decomposition(j - 1)
-        if parts is None:
-            raise DomainError(f"no witness construction for (k=1, i=4, j={j})")
-        pieces = []
-        for count, idx in zip(parts, (1, 2, 3, 4)):
-            pieces += [bipartite_cage(idx)] * count
-        return disjoint_union_all(pieces)
-    if k >= 2 and i >= 2 * k + 3 and j >= k + 2:
-        if j >= 2 * k + 1:
-            return complete_bipartite(j - 1, j - 1)
-        return complete_bipartite(j - k - 1, j - 1)
-    raise DomainError(f"no witness construction for (k={k}, i={i}, j={j})")
+    return _exact_witness(GraphClass.BIPARTITE, k, i, j)
 
 
 def split_witness_general(k: int, i: int, j: int) -> Graph:
@@ -259,69 +220,104 @@ def cograph_witness(k: int, i: int, j: int) -> Graph:
     return join(complete_graph(i - k - 2), empty_graph(j - 1))
 
 
+def _cactus_classical(k: int, i: int, j: int) -> Graph:
+    """k = 0: 5-cycles and an edge for i = 3, triangles for i >= 4."""
+    if i == 3:
+        q, r = divmod(j - 1, 2)
+        return disjoint_union_all([cycle_graph(5)] * q + [complete_graph(2)] * r)
+    return disjoint_union_all([cycle_graph(3)] * (j - 1))
+
+
+def _cactus_main(k: int, i: int, j: int) -> Graph:
+    """The triangle chain for k = 1 (where i = 4), square chains for k >= 2."""
+    if k == 1:
+        return cycle_graph(3) if j == 3 else cactus_triangle_chain(j)
+    s, t = divmod(j - 1, k)
+    if t != 0:
+        return disjoint_union(cactus_square_chain(k, s - 1), empty_graph(t - 1))
+    return disjoint_union(cactus_square_chain(k, s - 2), empty_graph(k - 1))
+
+
+def _bipartite_k1_i4(k: int, i: int, j: int) -> Graph | None:
+    """A star for j <= 4, a (2j-4)-cycle for j = 5, 6, else disjoint cages;
+    None when j - 1 is no sum of cage halves."""
+    if j <= 6:
+        return star_graph(j - 1) if j <= 4 else cycle_graph(2 * j - 4)
+    parts = _cage_decomposition(j - 1)
+    if parts is None:
+        return None
+    return disjoint_union_all([bipartite_cage(idx) for count, idx in zip(parts, (1, 2, 3, 4))
+                               for _ in range(count)])
+
+
 _SPLIT_NAMED_CELLS = {
     (1, 4, 5): "s1", (1, 4, 6): "s2", (2, 6, 7): "s3",
     (2, 6, 8): "s4", (2, 5, 6): "s5", (2, 5, 7): "s6",
 }
 
 
-def _construct(cls: GraphClass, k: int, i: int, j: int) -> Graph | None:
-    if min(i, j) <= k + 1:
-        return empty_graph(min(i, j) - 1)
-    if i == k + 2:
-        return empty_graph(j - 1)
-    if cls in (GraphClass.SPLIT, GraphClass.COGRAPH) and j == k + 2:
-        return complete_graph(i - 1)
-    if cls is GraphClass.FOREST:
-        if k == 0:
-            return disjoint_union_all([complete_graph(2)] * (j - 1))
-        return forest_witness(k, j)
-    if cls is GraphClass.CACTUS:
-        if k == 0:
-            if i == 3:
-                q, r = divmod(j - 1, 2)
-                return disjoint_union_all([cycle_graph(5)] * q + [complete_graph(2)] * r)
-            return disjoint_union_all([cycle_graph(3)] * (j - 1))
-        return cactus_witness(k, i, j)
-    if cls is GraphClass.BIPARTITE:
-        try:
-            return bipartite_witness(k, i, j)
-        except DomainError:
-            return None
-    if cls is GraphClass.SPLIT:
-        if (i - k - 2) * (j - k - 2) >= (k + 1) ** 2:
-            return split_witness_general(k, i, j)
-        if i == j:
-            return split_witness_diagonal(k, i)
-        a, b = min(i, j), max(i, j)
-        if (k, a, b) in _SPLIT_NAMED_CELLS:
-            g = split_small_witness(_SPLIT_NAMED_CELLS[(k, a, b)])
-        elif k == 2 and a == 5 and 8 <= b <= 12:
-            g = split_small_witness("s7", b - 8)
-        else:
-            return None
-        return g if (i, j) == (a, b) else complement(g)
-    if cls is GraphClass.COGRAPH:
-        return cograph_witness(k, i, j)
-    return None
+def _split_small(k: int, i: int, j: int) -> Graph:
+    """s1..s6 by cell, or s7 plus max(i, j) - 8 isolated vertices on the
+    k = 2, min(i, j) = 5 row; complemented when i > j."""
+    a, b = min(i, j), max(i, j)
+    tag = _SPLIT_NAMED_CELLS.get((k, a, b))
+    g = split_small_witness(tag) if tag else split_small_witness("s7", b - 8)
+    return g if i <= j else complement(g)
+
+
+# One construction per exact provenance tag of ``defective_ramsey``: a
+# builder maps (k, i, j) to a graph, or to None where it has none.
+_BUILDERS = {
+    "small-min": lambda k, i, j: empty_graph(min(i, j) - 1),
+    # i = k+2 in every class; the j = k+2 mirror in split graphs only
+    "small-k-plus-2": lambda k, i, j: empty_graph(j - 1) if i == k + 2 else complete_graph(i - 1),
+    "forest-cited-classical": lambda k, i, j: disjoint_union_all([complete_graph(2)] * (j - 1)),
+    "forest-main": lambda k, i, j: forest_witness(k, j),
+    "cactus-cited-classical": _cactus_classical,
+    "cactus-main": _cactus_main,
+    # k = 1, i >= 5: 4-cycles, and an isolated vertex for even j
+    "cactus-parity": lambda k, i, j: disjoint_union_all(
+        [cycle_graph(4)] * ((j - 1) // 2) + [empty_graph(1 - j % 2)]),
+    # i = k+3, k >= 4: the bounds pinch onto the forest value, and the
+    # forest witness is a cactus
+    "cactus-bounds-tight": lambda k, i, j: forest_witness(k, j),
+    "bipartite-cited-classical": lambda k, i, j: complete_bipartite(j - 1, j - 1),
+    "bipartite-k1": lambda k, i, j: complete_bipartite(j - 1, j - 1),
+    "bipartite-k1-i4": _bipartite_k1_i4,
+    "bipartite-large-i": lambda k, i, j: complete_bipartite(
+        j - 1 if j >= 2 * k + 1 else j - k - 1, j - 1),
+    "split-general": split_witness_general,
+    "split-diagonal": lambda k, i, j: split_witness_diagonal(k, i),
+    "split-small": _split_small,
+    "cograph-main": cograph_witness,
+}
+
+
+def _exact_witness(cls: GraphClass, k: int, i: int, j: int) -> Graph:
+    """The construction for an exact cell, unvalidated; DomainError if the
+    cell is not exact or has none."""
+    cell = defective_ramsey(RamseyQuery(cls, k, i, j))
+    if not cell.is_exact:
+        raise DomainError(f"cell ({k},{i},{j}) is not exact: {cell}")
+    g = _BUILDERS[cell.provenance](k, i, j)
+    if g is None:
+        raise DomainError(f"no witness construction for (k={k}, i={i}, j={j})")
+    return g
 
 
 def witness_for(query: RamseyQuery) -> Graph | None:
-    """A validated extremal witness for an exact cell, or None for open,
-    conjectured, or unconstructed cells (including exact cells whose
-    witness would not fit in 64 vertices)."""
+    """A validated extremal witness for an exact cell, built by its tag's
+    construction; None for open, conjectured, or unconstructed cells
+    (including exact cells whose witness would not fit in 64 vertices)."""
     cell = defective_ramsey(query)
-    if not cell.is_exact:
+    if not cell.is_exact or cell.value - 1 > MAX_ORDER:
         return None
-    order = cell.value - 1
-    if order > MAX_ORDER:
-        return None
-    g = _construct(query.cls, query.k, query.i, query.j)
+    g = _BUILDERS[cell.provenance](query.k, query.i, query.j)
     if g is None:
         return None
-    if g.n != order:
+    if g.n != cell.value - 1:
         raise ValidationError(
-            f"witness for {query} has order {g.n}, expected {order}")
+            f"witness for {query} has order {g.n}, expected {cell.value - 1}")
     if not member(g, query.cls):
         raise ValidationError(f"witness for {query} is not a {query.cls.value}")
     report = ramsey_check(g, query.k, query.i, query.j)

@@ -177,8 +177,7 @@ def test_class_from_string():
         GraphClass.from_string("chordal")
 
 
-EXTENDABLE = [GraphClass.FOREST, GraphClass.CACTUS, GraphClass.BIPARTITE,
-              GraphClass.SPLIT]
+EXTENDABLE = list(GraphClass)
 
 
 @cache

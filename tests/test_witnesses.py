@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from defram import (
@@ -6,6 +8,7 @@ from defram import (
     RamseyQuery,
     alpha_k,
     bipartite_cage,
+    bipartite_witness,
     bipartition,
     bits,
     cactus_square_chain,
@@ -19,6 +22,7 @@ from defram import (
     disjoint_union,
     empty_graph,
     forest_witness,
+    graph6_encode,
     induced,
     is_cactus,
     is_cograph,
@@ -34,6 +38,7 @@ from defram import (
     star_graph,
     witness_for,
 )
+from defram.witnesses import _BUILDERS
 
 FO, CA, BIP, SP, CO = (GraphClass.FOREST, GraphClass.CACTUS, GraphClass.BIPARTITE,
                        GraphClass.SPLIT, GraphClass.COGRAPH)
@@ -79,6 +84,39 @@ def test_cactus_witness_dispatch():
     assert g.n == 9
     with pytest.raises(DomainError):
         cactus_witness(5, 8, 12)  # open cell
+    assert cactus_witness(0, 3, 5) == witness_for(RamseyQuery(CA, 0, 3, 5))
+
+
+def test_bipartite_witness_dispatch():
+    g = bipartite_witness(1, 4, 8)
+    assert g.n == 14 and g == witness_for(RamseyQuery(BIP, 1, 4, 8))
+    assert bipartite_witness(1, 5, 2) == empty_graph(1)  # value 2: one vertex
+    for cell in [(1, 4, 7), (1, 4, 10), (2, 5, 6)]:  # no construction, conjectured, open
+        with pytest.raises(DomainError):
+            bipartite_witness(*cell)
+
+
+def test_builders_cover_exactly_the_exact_tags():
+    tags = {cell.provenance
+            for cls in (FO, CA, BIP, SP, CO) for k in range(6)
+            for i in range(1, 31) for j in range(1, 31)
+            if (cell := defective_ramsey(RamseyQuery(cls, k, i, j))).is_exact}
+    assert tags == set(_BUILDERS)
+
+
+def test_witness_for_grid_is_pinned():
+    lines = []
+    for cls in (FO, CA, BIP, SP, CO):
+        for k in range(4):
+            for i in range(1, 13):
+                for j in range(1, 13):
+                    g = witness_for(RamseyQuery(cls, k, i, j))
+                    code = graph6_encode(g) if g is not None else "-"
+                    lines.append(f"{cls.value} {k} {i} {j} {code}")
+    assert len(lines) == 2880
+    assert sum(not line.endswith(" -") for line in lines) == 2787
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "f49c9c3f42bf2bf3d48b734b0e6cf3ab1152192c3b401d8551678c9b37c68809")
 
 
 def test_cages_match_their_published_parameters():
