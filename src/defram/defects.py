@@ -42,12 +42,11 @@ def check_cell(k: int, i: int = 1, j: int = 1) -> None:
         raise DomainError("defect k must be >= 0")
 
 
-def _greedy_sparse(adj, cand: int, k: int) -> int:
-    """Greedy k-sparse subset of ``cand`` (ascending degree, then index):
-    v joins if it has at most k chosen neighbours and none of them already
-    has k."""
+def _greedy_sparse(adj, cand: int, k: int, chosen: int = 0) -> int:
+    """Greedy k-sparse superset of the k-sparse ``chosen`` within
+    ``cand | chosen`` (ascending degree in ``cand``, then index): v joins
+    if it has at most k chosen neighbours and none of them already has k."""
     verts = sorted(bits(cand), key=lambda v: ((adj[v] & cand).bit_count(), v))
-    chosen = 0
     for v in verts:
         nb = adj[v] & chosen
         if nb.bit_count() <= k:
@@ -73,8 +72,9 @@ def _twins(adj, cand: int) -> dict[int, int]:
 
 
 def _bnb_sparse(adj, cand: int, k: int, floor_size: int, floor_set: int,
-                stop_at: int | None) -> tuple[int, int]:
-    """Branch and bound for a maximum k-sparse subset of ``cand``.
+                stop_at: int | None, chosen: int = 0,
+                sat: int = 0) -> tuple[int, int]:
+    """Branch and bound for a maximum k-sparse ``chosen | S``, S in ``cand``.
 
     Only improvements over ``floor_size`` are searched for.  Branches on a
     maximum-degree vertex of the candidate-induced subgraph (ties to the
@@ -90,10 +90,12 @@ def _bnb_sparse(adj, cand: int, k: int, floor_size: int, floor_set: int,
     the branching degrees, so the search meets the same improvements in
     the same order and returns the same set.  ``sat`` holds the chosen
     vertices at degree k; a candidate adjacent to one cannot be added.
+    An initial ``chosen`` comes with its ``sat`` and a ``cand`` filtered
+    against both; twins are taken in ``cand | chosen`` to agree on it too.
     """
     best_size = floor_size
     best_set = floor_set
-    twins = _twins(adj, cand)
+    twins = _twins(adj, cand | chosen)
 
     def rec(chosen: int, sat: int, size: int, cand: int, dead: int) -> bool:
         nonlocal best_size, best_set
@@ -143,9 +145,23 @@ def _bnb_sparse(adj, cand: int, k: int, floor_size: int, floor_set: int,
             dead = (dead | twins[bv]) & cand
         return False
 
-    rec(0, 0, 0, cand, 0)
+    rec(chosen, sat, chosen.bit_count(), cand, 0)
     del rec  # rec's closure holds rec: free the cycle now, not at the next GC
     return best_size, best_set
+
+
+def has_sparse_through(g: Graph, v: int, k: int, size: int) -> bool:
+    """True iff some k-sparse set of ``size`` vertices of g contains v: the
+    greedy set grown from {v}, else the branch and bound from {v} with
+    floor ``size - 1``.  With k = 0, v is saturated from the start."""
+    vbit = 1 << v
+    cand = g.vertex_mask() ^ vbit
+    if _greedy_sparse(g.adj, cand, k, vbit).bit_count() >= size:
+        return True
+    sat = vbit if k == 0 else 0
+    if sat:
+        cand &= ~g.adj[v]
+    return _bnb_sparse(g.adj, cand, k, size - 1, 0, size, vbit, sat)[0] >= size
 
 
 def alpha_k(g: Graph, k: int, *, lo: int = 0,

@@ -29,6 +29,11 @@ The value searches extend only *good* graphs (no k-dense i-set, no
 k-sparse j-set).  Goodness passes to induced subgraphs, every class is
 hereditary and a canonical-deletion parent is an induced subgraph of its
 child, so the good levels are the full levels with the rest dropped.
+Order 0 is good (i, j >= 1), and a child of a good parent is good iff
+no such set contains the new vertex m, as every other set lies in the
+parent.  ``_extend_parent`` asks for sets through m after the cheaper
+last-cell test and before the ``_canon`` tie-break: a bad child is
+never canonized, and the good levels keep the full levels' order.
 """
 
 from __future__ import annotations
@@ -44,10 +49,10 @@ from functools import partial
 
 from .canon import _canon, _orbit, _refine
 from .classes import GraphClass, extension_test
-from .defects import ramsey_check
+from .defects import check_cell, has_sparse_through
 from .formulas import RamseyValue
 from .graph6 import graph6_encode
-from .graphs import DomainError, Graph, add_vertex
+from .graphs import DomainError, Graph, add_vertex, complement
 
 ENV_BUDGET = "DEFRAM_BUDGET"
 DEFAULT_BUDGETS = {GraphClass.FOREST: 12, GraphClass.SPLIT: 12}
@@ -79,8 +84,10 @@ def _image_table(perm, m: int) -> list[int]:
     return table
 
 
-def _extend_parent(parent: Graph, cls: GraphClass) -> list[Graph]:
-    """All accepted one-vertex extensions of ``parent`` inside the class."""
+def _extend_parent(parent: Graph, cls: GraphClass,
+                   cell: tuple[int, int, int] | None = None) -> list[Graph]:
+    """All accepted one-vertex extensions of ``parent`` inside the class;
+    with a ``(k, i, j)`` cell and a good parent, only the good ones."""
     m = parent.n
     tables = [_image_table(perm, m) for perm in _canon(m, parent.adj)[2]]
     seen = bytearray(1 << m)
@@ -111,6 +118,11 @@ def _extend_parent(parent: Graph, cls: GraphClass) -> list[Graph]:
         last = _refine(child.adj, [(1 << (m + 1)) - 1])[-1]
         if not (last >> m) & 1:
             continue
+        if cell is not None:
+            k, i, j = cell
+            if (has_sparse_through(child, m, k, j)
+                    or has_sparse_through(complement(child), m, k, i)):
+                continue
         if last != 1 << m:
             _, lab, cgens = _canon(m + 1, child.adj)
             if lab[m] != m and lab[m] not in _orbit(cgens, m):
@@ -133,6 +145,8 @@ def _levels(cls: GraphClass, n: int, budget: int | None = None, workers: int = 1
         raise DomainError("order must be >= 0")
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
+    if cell is not None:
+        check_cell(*cell)
     workers = min(workers, os.cpu_count() or 1)
     level = [Graph(0, ())]
     pool = None
@@ -142,12 +156,11 @@ def _levels(cls: GraphClass, n: int, budget: int | None = None, workers: int = 1
         yield level
         for _ in range(n):
             if pool is not None and len(level) > 4 * workers:
-                chunks = pool.map(partial(_extend_parent, cls=cls), level,
+                chunks = pool.map(partial(_extend_parent, cls=cls, cell=cell), level,
                                   chunksize=max(1, len(level) // (4 * workers)))
             else:
-                chunks = [_extend_parent(p, cls) for p in level]
-            level = [g for chunk in chunks for g in chunk
-                     if cell is None or ramsey_check(g, *cell).neither]
+                chunks = [_extend_parent(p, cls, cell) for p in level]
+            level = [g for chunk in chunks for g in chunk]
             yield level
     finally:
         if pool is not None:

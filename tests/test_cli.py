@@ -124,6 +124,14 @@ def test_negative_defect_is_refused(capsys):
     assert captured.err.count("defect k must be >= 0") == 2
 
 
+def test_verify_set_sizes_below_one_are_refused(capsys):
+    for i, j in (("0", "4"), ("4", "0")):
+        assert run_cli(["verify", "forest", "-k", "1", "-i", i, "-j", j,
+                        "--claimed", "5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "set sizes i and j must be >= 1" in captured.err
+
+
 def test_hunt_set_sizes_below_one_are_refused(capsys):
     for i, j in (("0", "4"), ("4", "0")):
         assert run_cli(["hunt", "forest", "-k", "1", "-i", i, "-j", j, "-n", "3",

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 from unittest.mock import patch
 
 import pytest
@@ -364,6 +364,39 @@ def test_solver_matches_slow_oracle_on_witnesses():
                         assert fast == slow, (cls, k, i, j, fn.__name__)
                     checked += 1
     assert checked == 2787
+
+
+def _through_oracle(g, v: int, k: int) -> int:
+    """Largest k-sparse set containing v: subset recursion over the sets
+    through v, never extending a set that stops being k-sparse."""
+    best = 0
+
+    def rec(start: int, chosen: int, size: int):
+        nonlocal best
+        best = max(best, size)
+        for u in range(start, g.n):
+            grown = chosen | (1 << u)
+            if u != v and is_k_sparse(g, grown, k):
+                rec(u + 1, grown, size + 1)
+
+    rec(0, 1 << v, 1)
+    return best
+
+
+def test_seeded_search_matches_exhaustive_count(all_levels_6):
+    for g in (g for level in all_levels_6 for g in level):
+        for v, k in product(range(g.n), range(3)):
+            vbit, top = 1 << v, _through_oracle(g, v, k)
+            cand = g.vertex_mask() ^ vbit
+            greedy = defects._greedy_sparse(g.adj, cand, k, vbit)
+            assert greedy & vbit and is_k_sparse(g, greedy, k)
+            sat = vbit if k == 0 else 0
+            size, found = defects._bnb_sparse(g.adj, cand & ~g.adj[v] if sat else cand,
+                                              k, 0, 0, None, vbit, sat)
+            assert size == top == found.bit_count(), (g, v, k)
+            assert found & vbit and is_k_sparse(g, found, k)
+            for s in range(1, g.n + 2):
+                assert defects.has_sparse_through(g, v, k, s) == (s <= top), (g, v, k, s)
 
 
 @settings(max_examples=150, deadline=None)

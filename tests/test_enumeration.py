@@ -7,6 +7,7 @@ import pytest
 import defram.enumeration
 from defram import (
     BudgetError,
+    DomainError,
     Graph,
     GraphClass,
     RamseyQuery,
@@ -21,9 +22,12 @@ from defram import (
     is_cactus,
     make_graph,
     member,
+    ramsey_check,
     verify_value,
 )
 from defram.canon import _canon, _orbit
+from defram.defects import has_sparse_through
+from defram.graphs import add_vertex
 
 ALL = GraphClass.ALL
 
@@ -230,14 +234,46 @@ def test_compute_ramsey_exhaustive_stops_at_first_passing_order(monkeypatch):
     extend = defram.enumeration._extend_parent
     parent_orders = set()
 
-    def spy(parent, cls):
+    def spy(parent, cls, cell):
         parent_orders.add(parent.n)
-        return extend(parent, cls)
+        return extend(parent, cls, cell)
 
     monkeypatch.setattr(defram.enumeration, "_extend_parent", spy)
     v = compute_ramsey_exhaustive(GraphClass.FOREST, 1, 4, 4, 12)
     assert v is not None and v.value == 5
     assert max(parent_orders) == 4  # nothing of order 6 or above was built
+
+
+def test_searches_refuse_a_bad_cell_before_building_a_level(monkeypatch):
+    def spy(parent, cls, cell):
+        raise AssertionError("a level was built")
+
+    monkeypatch.setattr(defram.enumeration, "_extend_parent", spy)
+    with pytest.raises(DomainError, match="defect k"):
+        verify_value(GraphClass.FOREST, -1, 4, 4, 5)
+    with pytest.raises(DomainError, match="defect k"):
+        compute_ramsey_exhaustive(GraphClass.FOREST, -1, 4, 4, 6)
+    with pytest.raises(DomainError, match="set sizes"):
+        verify_value(GraphClass.FOREST, 1, 0, 4, 5)
+
+
+@pytest.mark.parametrize("cls", list(GraphClass), ids=lambda c: c.value)
+def test_goodness_through_the_new_vertex_matches_ramsey_check(cls, all_levels_6):
+    """A child of a good parent is good iff no k-sparse j-set and no
+    k-dense i-set contains the new vertex m, on every neighbourhood of m."""
+    levels = all_levels_6 if cls is ALL else enumerate_levels(cls, 6)
+    for k in range(4):
+        for i, j in ((1, k + 3), (k + 3, 1), (k + 2, k + 3), (k + 3, k + 2),
+                     (k + 3, k + 3), (k + 2, 8), (8, k + 2)):
+            for parent in (g for level in levels for g in level
+                           if ramsey_check(g, k, i, j).neither):
+                m = parent.n
+                for neigh in range(1 << m):
+                    child = add_vertex(parent, neigh)
+                    through = (has_sparse_through(child, m, k, j)
+                               or has_sparse_through(complement(child), m, k, i))
+                    assert through != ramsey_check(child, k, i, j).neither, \
+                        (k, i, j, graph6_encode(child))
 
 
 def test_compute_ramsey_exhaustive_examples():
