@@ -15,7 +15,8 @@ from functools import lru_cache
 from .graphs import Graph, bits
 
 
-def _refine(adj, cells: list[int], stable: Iterable[int] = ()) -> list[int]:
+def _refine(adj, cells: list[int], stable: Iterable[int] = (), *,
+            watch: int | None = None) -> list[int]:
     """Coarsest stable ordered partition refining ``cells``.
 
     Cells split by neighbour counts against every cell; fragments are
@@ -30,10 +31,19 @@ def _refine(adj, cells: list[int], stable: Iterable[int] = ()) -> list[int]:
     rounds apply the same splitters in the same order as without it.  A
     caller may seed ``stable`` with cells known to split nothing, such as
     the untouched cells of an equitable partition it has just cut.
+
+    With ``watch=v`` the rounds stop early, as soon as the last cell is
+    ``{v}`` or no longer holds v.  Cells split in place, so the final last
+    cell is a fragment of every earlier last cell: a singleton last cell
+    stays, and a vertex that left the last cell never returns to it.  Only
+    those two answers are promised, not the partition itself.
     """
     cells = list(cells)
     stable = set(stable)
+    wbit = 0 if watch is None else 1 << watch
     while True:
+        if wbit and (cells[-1] == wbit or not cells[-1] & wbit):
+            return cells
         for splitter in cells:
             if splitter in stable:
                 continue
@@ -41,22 +51,31 @@ def _refine(adj, cells: list[int], stable: Iterable[int] = ()) -> list[int]:
             new_cells = []
             split = False
             for cell in cells:
-                if cell.bit_count() <= 1:
+                if not cell & (cell - 1):
                     new_cells.append(cell)
                     continue
-                groups: dict[int, int] = {}
-                m = cell
+                # most cells do not split: compare with the first count
+                # and build the groups only from the first mismatch on
+                b = cell & -cell
+                first = (adj[b.bit_length() - 1] & splitter).bit_count()
+                m = cell ^ b
+                while m:
+                    b = m & -m
+                    if (adj[b.bit_length() - 1] & splitter).bit_count() != first:
+                        break
+                    m ^= b
+                if not m:
+                    new_cells.append(cell)
+                    continue
+                split = True
+                groups = {first: cell ^ m}
                 while m:
                     b = m & -m
                     m ^= b
                     cnt = (adj[b.bit_length() - 1] & splitter).bit_count()
                     groups[cnt] = groups.get(cnt, 0) | b
-                if len(groups) == 1:
-                    new_cells.append(cell)
-                else:
-                    split = True
-                    for cnt in sorted(groups):
-                        new_cells.append(groups[cnt])
+                for cnt in sorted(groups):
+                    new_cells.append(groups[cnt])
             if split:
                 cells = new_cells
                 break
@@ -126,6 +145,14 @@ def _search(adj, n: int):
 
     rec(_refine(adj, [(1 << n) - 1]), ())
     return best_enc, best_lab, tuple(gens)
+
+
+def _all_twins(adj, cell: int, v: int) -> bool:
+    """Whether every vertex w of ``cell`` is a twin of v: adjacent to the
+    same vertices outside {v, w}.  Swapping v with such a w preserves
+    every adjacency, so the whole cell then lies in v's orbit."""
+    row = adj[v]
+    return all(not (adj[w] ^ row) & ~(1 << w | 1 << v) for w in bits(cell))
 
 
 @lru_cache(maxsize=1 << 16)

@@ -13,10 +13,22 @@ Most children are settled without a canonical labelling.  The search in
 lies in the last cell of the root partition ``_refine(rows, [all])``, and
 every root cell is a union of automorphism orbits.  The new vertex m is
 therefore accepted only if it lies in that last cell, which holds only
-vertices of maximum degree; if the cell is ``{m}`` it is accepted at
-once, and only a tie runs the full ``_canon`` and orbit test.  The degree
-test is the same on a whole parent orbit, so orbits that fail it are not
-walked; the walk reads one image table per parent generator.
+vertices of maximum degree, and at once if the cell is ``{m}``.  Three
+arguments decide most children before a full ``_canon``:
+
+* Degrees.  Each parent vertex gains at most one degree, so if m's degree
+  exceeds every parent vertex's degree in the child, m alone has maximum
+  degree and the last cell is ``{m}`` with no refinement at all.
+* Early stop.  The final last cell is a fragment of every earlier last
+  cell, so ``_refine(..., watch=m)`` stops as soon as the last cell is
+  ``{m}`` or has lost m; either answer is final.
+* Twins.  If every w in the last cell is a twin of m (adjacent to the
+  same vertices outside {m, w}), swapping m and w is an automorphism, so
+  the whole cell, ``lab[m]`` with it, lies in m's orbit.
+
+Only the remaining ties run ``_canon`` and the orbit test.  The degree
+pre-filter is the same on a whole parent orbit, so orbits that fail it
+are not walked; the walk reads one image table per parent generator.
 
 Class membership of a child is decided once per orbit, after the walk,
 by the class's ``extension_test``: from the parent alone for forests
@@ -47,7 +59,7 @@ from contextlib import closing
 from dataclasses import dataclass, field
 from functools import partial
 
-from .canon import _canon, _orbit, _refine
+from .canon import _all_twins, _canon, _orbit, _refine
 from .classes import GraphClass, extension_test
 from .defects import check_cell, has_sparse_through
 from .formulas import RamseyValue
@@ -64,15 +76,17 @@ class BudgetError(DomainError):
 
 
 def order_budget(cls: GraphClass, budget: int | None = None) -> int:
-    if budget is not None:
-        return budget
-    env = os.environ.get(ENV_BUDGET)
-    if env is not None:
+    if budget is None:
+        env = os.environ.get(ENV_BUDGET)
+        if env is None:
+            return DEFAULT_BUDGETS.get(cls, DEFAULT_BUDGET)
         try:
-            return int(env)
+            budget = int(env)
         except ValueError:
             raise DomainError(f"{ENV_BUDGET} must be an integer, got {env!r}") from None
-    return DEFAULT_BUDGETS.get(cls, DEFAULT_BUDGET)
+    if budget < 0:
+        raise DomainError(f"budget must be >= 0, got {budget}")
+    return budget
 
 
 def _image_table(perm, m: int) -> list[int]:
@@ -115,15 +129,18 @@ def _extend_parent(parent: Graph, cls: GraphClass,
         if not admits(neigh):
             continue
         child = add_vertex(parent, neigh)
-        last = _refine(child.adj, [(1 << (m + 1)) - 1])[-1]
-        if not (last >> m) & 1:
-            continue
+        if d > top + 1 or (d == top + 1 and not neigh & top_mask):
+            last = 1 << m  # m alone has maximum degree
+        else:
+            last = _refine(child.adj, [(1 << (m + 1)) - 1], watch=m)[-1]
+            if not (last >> m) & 1:
+                continue
         if cell is not None:
             k, i, j = cell
             if (has_sparse_through(child, m, k, j)
                     or has_sparse_through(complement(child), m, k, i)):
                 continue
-        if last != 1 << m:
+        if last != 1 << m and not _all_twins(child.adj, last, m):
             _, lab, cgens = _canon(m + 1, child.adj)
             if lab[m] != m and lab[m] not in _orbit(cgens, m):
                 continue

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from defram import (
+    Graph,
     canonical_form,
     canonical_labeling,
     automorphism_generators,
@@ -17,7 +18,7 @@ from defram import (
     path_graph,
     star_graph,
 )
-from defram.canon import _refine
+from defram.canon import _all_twins, _canon, _orbit, _refine
 from defram.graphs import bits, relabel
 
 
@@ -173,3 +174,68 @@ def test_refine_matches_restart_oracle_random(case, data):
         cut = data.draw(st.sampled_from(cuts))
         assert _refine(g.adj, cut, equitable) == _refine_restart(g.adj, cut)
 
+
+
+def test_refine_watch_settles_the_last_cell_answers(all_levels_6):
+    # an early stop may leave the partition coarse, but never changes
+    # whether v is in the root last cell or is all of it
+    for level in all_levels_6:
+        for g in level:
+            unit = [(1 << g.n) - 1]
+            full = _refine(g.adj, unit)
+            for v in range(g.n):
+                vbit = 1 << v
+                early = _refine(g.adj, unit, watch=v)
+                assert bool(early[-1] & vbit) == bool(full[-1] & vbit)
+                assert (early[-1] == vbit) == (full[-1] == vbit)
+                if early[-1] & vbit and early[-1] != vbit:
+                    assert early == full
+
+
+def _swap_is_automorphism(g, v, w):
+    perm = list(range(g.n))
+    perm[v], perm[w] = w, v
+    return relabel(g, tuple(perm)) == g
+
+
+def test_all_twins_agrees_with_swaps_and_the_canonical_orbit(all_levels_6):
+    twin_cells = 0
+    for level in all_levels_6[1:]:
+        for g in level:
+            root = _refine(g.adj, [(1 << g.n) - 1])
+            _, lab, gens = _canon(g.n, g.adj)
+            assert (root[-1] >> lab[-1]) & 1
+            for cell in root:
+                for v in bits(cell):
+                    twins = _all_twins(g.adj, cell, v)
+                    assert twins == all(_swap_is_automorphism(g, v, w) for w in bits(cell))
+                    if twins and cell == root[-1] and cell != 1 << v:
+                        # the deletion target lies in v's orbit
+                        twin_cells += 1
+                        assert lab[-1] in _orbit(gens, v)
+    assert twin_cells > 0
+
+
+def graphs_of_order(n):
+    pairs = list(combinations(range(n), 2))
+    return st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)).map(
+        lambda present: make_graph(n, [e for e, on in zip(pairs, present) if on]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 9).flatmap(graphs_of_order), st.data())
+def test_canonical_form_differential(g, data):
+    perm = tuple(data.draw(st.permutations(range(g.n))))
+    assert canonical_form(relabel(g, perm)) == canonical_form(g)
+    for gen in automorphism_generators(g):
+        assert relabel(g, gen) == g
+    # a relabelled copy with at most one pair toggled (often isomorphic,
+    # often not, now and then with the same degree sequence) and a fresh
+    # graph of the same order
+    rows = list(relabel(g, perm).adj)
+    if g.n >= 2 and data.draw(st.booleans()):
+        u, w = data.draw(st.sampled_from(list(combinations(range(g.n), 2))))
+        rows[u] ^= 1 << w
+        rows[w] ^= 1 << u
+    for h in (Graph(g.n, tuple(rows)), data.draw(graphs_of_order(g.n))):
+        assert (canonical_form(h) == canonical_form(g)) == isomorphic_bruteforce(g, h)

@@ -61,6 +61,17 @@ def test_enumerate_and_budget(capsys):
     assert code == 3
 
 
+def test_negative_budget_is_refused(capsys, monkeypatch):
+    assert run_cli(["--budget", "-1", "enumerate", "all", "-n", "3"]) == 3
+    monkeypatch.setenv("DEFRAM_BUDGET", "-1")
+    assert run_cli(["enumerate", "all", "-n", "3"]) == 3
+    assert run_cli(["verify", "forest", "-k", "1", "-i", "4", "-j", "4",
+                    "--claimed", "5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("budget must be >= 0, got -1") == 3
+
+
 def test_verify(capsys):
     code, out = run(capsys, "verify", "forest", "-k", "1", "-i", "4", "-j", "4",
                     "--claimed", "5")

@@ -1,8 +1,11 @@
 import hashlib
 import os
+from functools import cache
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import defram.enumeration
 from defram import (
@@ -135,6 +138,23 @@ def test_extend_parent_matches_oracle(cls, all_levels_6):
                     == _extend_parent_oracle(parent, cls)), graph6_encode(parent)
 
 
+@cache
+def _class_level_7(cls):
+    return enumerate_levels(cls, 7)[7]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_extend_parent_matches_oracle_at_order_7(all_levels_7, data):
+    # order-7 parents give order-8 children, where degree ties, twins and
+    # full canonical tie-breaks are all common
+    cls = data.draw(st.sampled_from(list(GraphClass)))
+    parent = data.draw(st.sampled_from(all_levels_7[7] if cls is ALL
+                                       else _class_level_7(cls)))
+    assert (defram.enumeration._extend_parent(parent, cls)
+            == _extend_parent_oracle(parent, cls)), graph6_encode(parent)
+
+
 def test_small_class_examples():
     assert len(enumerate_class(GraphClass.FOREST, 5)) == 10
     assert len(enumerate_class(GraphClass.COGRAPH, 4)) == 10
@@ -189,6 +209,15 @@ def test_budget_env_override(monkeypatch):
     with pytest.raises(BudgetError):
         enumerate_class(ALL, 4)
     assert len(enumerate_class(ALL, 3)) == 4
+
+
+def test_negative_budget_is_refused(monkeypatch):
+    with pytest.raises(DomainError, match="budget must be >= 0, got -1"):
+        enumerate_class(ALL, 3, budget=-1)
+    monkeypatch.setenv("DEFRAM_BUDGET", "-2")
+    with pytest.raises(DomainError, match="budget must be >= 0, got -2"):
+        enumerate_class(ALL, 3)
+    assert len(enumerate_class(ALL, 0, budget=0)) == 1
 
 
 def test_verify_value_examples():
