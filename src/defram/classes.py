@@ -137,6 +137,11 @@ def _split_size(degs: list[int]) -> int | None:
     return m if sum(degs[:m]) == m * (m - 1) + sum(degs[m:]) else None
 
 
+def is_split_sequence(degs: list[int]) -> bool:
+    """True iff a graph with these degrees, in any order, is split."""
+    return _split_size(sorted(degs, reverse=True)) is not None
+
+
 def split_partition(g: Graph) -> tuple[VertexSet, VertexSet] | None:
     """A partition (K clique, I independent) if the graph is split, else None.
 
@@ -256,9 +261,8 @@ def _split_extension(parent: Graph):
     """Hammer–Simeone on the child's degrees: the parent's, plus 1 on N,
     and |N| for the new vertex."""
     degs = [row.bit_count() for row in parent.adj]
-    return lambda neigh: _split_size(sorted(
-        [d + (neigh >> u & 1) for u, d in enumerate(degs)] + [neigh.bit_count()],
-        reverse=True)) is not None
+    return lambda neigh: is_split_sequence(
+        [d + (neigh >> u & 1) for u, d in enumerate(degs)] + [neigh.bit_count()])
 
 
 _EXTENSION_TESTS = {
@@ -277,3 +281,24 @@ def extension_test(parent: Graph, cls: GraphClass):
     N < 2^m, true iff ``parent`` plus a new vertex m with neighbourhood N
     is in the class; the per-parent work is done once."""
     return _EXTENSION_TESTS[cls](parent)
+
+
+def edge_test(g: Graph, cls: GraphClass):
+    """For a class member ``g`` of a class closed under edge removal
+    (forest, cactus, bipartite), a predicate on non-edges uv, true iff g
+    plus uv is in the class; the per-graph work is done once.  None for
+    the other classes.
+
+    uv closes an odd cycle iff u and v have one colour in one component.
+    For forests and cacti, g plus uv is in the class iff g plus a new
+    vertex on u and v is: subdividing uv keeps every cycle a cycle and
+    every block a block.
+    """
+    if cls is GraphClass.BIPARTITE:
+        a, b = bipartition(g)
+        sides = [side for comp in components(g) for side in (comp & a, comp & b)]
+        return lambda u, v: not any(side >> u & side >> v & 1 for side in sides)
+    if cls in (GraphClass.FOREST, GraphClass.CACTUS):
+        admits = extension_test(g, cls)
+        return lambda u, v: admits(1 << u | 1 << v)
+    return None

@@ -32,7 +32,7 @@ from defram import (
     split_partition,
     star_graph,
 )
-from defram.classes import extension_test
+from defram.classes import edge_test, extension_test, is_split_sequence
 from defram.graphs import relabel
 from defram.witnesses import split_small_witness
 
@@ -209,3 +209,26 @@ def test_extension_test_matches_member(cls, data):
     parent = relabel(parent, tuple(data.draw(st.permutations(range(n)), label="perm")))
     neigh = data.draw(st.integers(0, (1 << n) - 1), label="mask")
     assert extension_test(parent, cls)(neigh) == member(_child(parent, neigh), cls)
+
+
+@pytest.mark.parametrize("cls", EXTENDABLE, ids=lambda c: c.value)
+def test_edge_test_matches_member_up_to_order_7(cls):
+    # every member of order <= 7 and every non-edge, in every class closed
+    # under edge removal; None for the others
+    for level in _class_levels(cls)[:8]:
+        for g in level:
+            admits = edge_test(g, cls)
+            if cls not in (GraphClass.FOREST, GraphClass.CACTUS, GraphClass.BIPARTITE):
+                assert admits is None
+                break
+            for u, v in complement(g).edges():
+                grown = make_graph(g.n, g.edges() + [(u, v)])
+                assert bool(admits(u, v)) == member(grown, cls), (g, u, v)
+
+
+def test_split_sequence_matches_is_split(all_levels_7):
+    for level in all_levels_7:
+        for g in level:
+            degs = [g.degree(v) for v in range(g.n)]
+            assert is_split_sequence(degs) == is_split(g), g
+

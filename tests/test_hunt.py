@@ -1,10 +1,14 @@
+import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from defram import (
     DomainError,
     GraphClass,
+    bits,
     cycle_graph,
     graph6_encode,
     hunt_witness,
@@ -12,7 +16,8 @@ from defram import (
     member,
     ramsey_check,
 )
-from defram.hunt import _score, _sparse_repair, _toggle
+from defram import hunt
+from defram.hunt import _Menu, _random_member, _score, _sparse_repair, _toggle
 
 
 def test_hunt_finds_split_witness():
@@ -58,7 +63,7 @@ def test_sparse_repair_of_one_vertex_draws_nothing():
     rng = random.Random(5)
     state = rng.getstate()
     for sparse_set in (0, 0b100):
-        assert _sparse_repair(cycle_graph(5), rng, sparse_set) is None
+        assert _sparse_repair(cycle_graph(5), rng, list(bits(sparse_set))) is None
     assert rng.getstate() == state
 
 
@@ -73,6 +78,9 @@ HUNT_PINS = [
     (GraphClass.BIPARTITE, 1, 4, 8, 14, 3000, 0, "MA?dC?KPOQQCKAQ_?"),
     (GraphClass.BIPARTITE, 2, 5, 7, 9, 3000, 0, None),
     (GraphClass.BIPARTITE, 2, 5, 7, 9, 3000, 1, "HH?eSw_"),
+    (GraphClass.FOREST, 2, 6, 7, 8, 3000, 0, "GO?BcW"),
+    (GraphClass.CACTUS, 1, 4, 7, 11, 3000, 0, "JE?co?DJ_H?"),
+    (GraphClass.COGRAPH, 2, 6, 7, 10, 3000, 0, "I`opmOQQ?"),
 ]
 
 
@@ -80,6 +88,31 @@ HUNT_PINS = [
 def test_hunt_output_is_pinned(cls, k, i, j, n, budget, seed, expected):
     g = hunt_witness(cls, k, i, j, n, budget=budget, seed=seed)
     assert (g and graph6_encode(g)) == expected
+
+
+# sha256 over every (adjacency, sparse set, dense set) that _mutate is
+# handed, recorded before hunt paid per state: a miss spends its whole
+# budget, so these see a changed trajectory that an output pin cannot
+TRAJECTORY_PINS = [
+    (GraphClass.BIPARTITE, 1, 4, 8, 15, 300,
+     "405e172223a660b95345225b24f6456149ea7ba1e5e6873f1b8643a98bfce51f"),
+    (GraphClass.SPLIT, 2, 5, 9, 12, 1000,
+     "e1cb31e511b4147a90f8d167d48d1d2b8988babe4694a549b3f487f50dc3f06f"),
+]
+
+
+@pytest.mark.parametrize("cls, k, i, j, n, budget, expected", TRAJECTORY_PINS)
+def test_hunt_trajectory_is_pinned(monkeypatch, cls, k, i, j, n, budget, expected):
+    digest = hashlib.sha256()
+    mutate = hunt._mutate
+
+    def spy(g, rng, sparse_set, dense_set, *rest):
+        digest.update(repr((g.adj, sparse_set, dense_set)).encode())
+        return mutate(g, rng, sparse_set, dense_set, *rest)
+
+    monkeypatch.setattr(hunt, "_mutate", spy)
+    assert hunt_witness(cls, k, i, j, n, budget=budget, seed=0) is None
+    assert digest.hexdigest() == expected
 
 
 def test_parent_seeded_score_equals_the_fresh_one():
@@ -92,5 +125,32 @@ def test_parent_seeded_score_equals_the_fresh_one():
         g = make_graph(n, [e for e in pairs if rng.random() < rng.random()])
         k, i, j = rng.randint(0, 3), rng.randint(1, 6), rng.randint(1, 6)
         h = _toggle(g, *rng.sample(pairs, min(len(pairs), rng.randint(1, 2))))
-        sizes = _score(g, k, i, j)[3]
-        assert _score(h, k, i, j, (g, sizes)) == _score(h, k, i, j), (g, h, k)
+        state = _score(g, k, i, j)
+        full = _score(h, k, i, j)
+        assert _score(h, k, i, j, (g, state[3])) == full, (g, h, k)
+        # bounded by the state's score, as hunt does, or by any (M, T): None
+        # iff the score is above the bound, else the very same result
+        for bound in (state[0], (rng.randint(0, 4), rng.randint(0, 8))):
+            expected = None if full[0] > bound else full
+            assert _score(h, k, i, j, (g, state[3]), bound) == expected, (g, h, k, bound)
+            assert _score(h, k, i, j, bound=bound) == expected, (g, h, k, bound)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(list(GraphClass)), st.integers(1, 8), st.randoms(use_true_random=False))
+def test_move_class_test_matches_member(cls, n, rnd):
+    # a random member grown by member alone, then every add, remove and
+    # two-pair move (a swap, or a dense-set drop plus a sparse-set add)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rnd.shuffle(pairs)
+    g, density = make_graph(n, []), rnd.random()
+    for pair in pairs:
+        if rnd.random() < density and member(h := _toggle(g, pair), cls):
+            g = h
+    menu = _Menu(g, cls)
+    moves = ([(None, add) for add in menu.absent] + [(drop, None) for drop in menu.present]
+             + [(drop, add) for drop in menu.present for add in menu.absent])
+    for move in moves:
+        candidate = _toggle(g, *(pair for pair in move if pair))
+        assert menu.admits(candidate, *move) == member(candidate, cls), (g, move)
+    assert member(_random_member(cls, n, rnd), cls)
