@@ -65,7 +65,7 @@ def _score(g: Graph, k: int, i: int, j: int,
         s_lo, s_hi, d_lo, d_hi = s0 - added, s0 + removed, d0 - removed, d0 + added
     top, total = bound or (g.n, 2 * g.n)  # no score exceeds (n, 2n)
     s_hi = min(s_hi, j + top)
-    if s_lo > s_hi:  # at least s_lo > j + M vertices
+    if s_lo > s_hi:  # alpha_k >= s_lo > j + M: an excess above M
         return None
     s_size, s_set = alpha_k(g, k, lo=s_lo, hi=s_hi)
     s_excess = max(0, s_size - (j - 1))
