@@ -78,9 +78,19 @@ def _bnb_sparse(adj, cand: int, k: int, floor_size: int, floor_set: int,
 
     Only improvements over ``floor_size`` are searched for.  Branches on a
     maximum-degree vertex of the candidate-induced subgraph (ties to the
-    lowest index), include branch first, pruning once |chosen| plus the
-    number of remaining candidates cannot beat the best known size.
-    When ``stop_at`` is reached the search aborts with the current best.
+    lowest index), include branch first.  When ``stop_at`` is reached the
+    search aborts with the current best.
+
+    A node is pruned once its capacity bound cannot beat the best known
+    size: |chosen| plus the live (not dead) candidates, less a surplus per
+    unsaturated chosen vertex c.  Walking them in ascending order, c claims
+    its live neighbours that no earlier one claimed; at most k less c's
+    chosen degree of them can join, and the rest is c's surplus.  The
+    claims are disjoint, so the surpluses add up; with k = 0 every chosen
+    vertex is saturated and the bound is the live count.  It prunes only
+    subtrees with no strict improvement, and the branching order does not
+    depend on the best size, so the search meets the same first maximum
+    set as without it.
 
     Twins of an excluded vertex v turn ``dead``: swapping v with a twin w
     is an automorphism fixing ``chosen``, so a set the exclude branch finds
@@ -103,7 +113,23 @@ def _bnb_sparse(adj, cand: int, k: int, floor_size: int, floor_set: int,
             best_size, best_set = size, chosen
             if stop_at is not None and size >= stop_at:
                 return True
-        while size + (cand & ~dead).bit_count() > best_size:
+        while True:
+            live = cand & ~dead
+            room = size + live.bit_count() - best_size
+            # capacity bound: unsaturated chosen vertices claim live neighbours
+            m = chosen & ~sat
+            rest = live
+            while m and room > 0:
+                b = m & -m
+                m ^= b
+                row = adj[b.bit_length() - 1]
+                nbl = row & rest
+                rest ^= nbl
+                surplus = nbl.bit_count() + (row & chosen).bit_count() - k
+                if surplus > 0:
+                    room -= surplus
+            if room <= 0:
+                return False
             bv, bd = -1, -1
             m = cand
             while m:
@@ -143,7 +169,6 @@ def _bnb_sparse(adj, cand: int, k: int, floor_size: int, floor_set: int,
                     return True
             cand ^= vbit
             dead = (dead | twins[bv]) & cand
-        return False
 
     rec(chosen, sat, chosen.bit_count(), cand, 0)
     del rec  # rec's closure holds rec: free the cycle now, not at the next GC

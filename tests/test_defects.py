@@ -253,11 +253,13 @@ def _greedy_sparse_oracle(adj, cand: int, k: int) -> int:
 
 
 def _bnb_sparse_oracle(adj, cand: int, k: int, floor_size: int, floor_set: int,
-                       stop_at: int | None) -> tuple[int, int]:
+                       stop_at: int | None, chosen: int = 0) -> tuple[int, int]:
     """Slow oracle for ``_bnb_sparse``: the same branching rule with no
-    twin pruning, each candidate re-checked against its chosen neighbours.
-    Only improvements over ``floor_size`` are searched for; reaching
-    ``stop_at`` aborts with the current best."""
+    twin pruning and no capacity bound, each candidate re-checked against
+    its chosen neighbours.  Only improvements over ``floor_size`` are
+    searched for; reaching ``stop_at`` aborts with the current best.  The
+    search starts from the k-sparse ``chosen``, with the candidates that
+    fail against it dropped."""
     best_size = floor_size
     best_set = floor_set
 
@@ -291,7 +293,8 @@ def _bnb_sparse_oracle(adj, cand: int, k: int, floor_size: int, floor_set: int,
             return True
         return rec(chosen, size, cand ^ vbit)
 
-    rec(0, 0, cand)
+    cand = mask_of(v for v in bits(cand) if _can_add_oracle(adj, v, chosen, k))
+    rec(chosen, chosen.bit_count(), cand)
     return best_size, best_set
 
 
@@ -397,6 +400,39 @@ def test_seeded_search_matches_exhaustive_count(all_levels_6):
             assert found & vbit and is_k_sparse(g, found, k)
             for s in range(1, g.n + 2):
                 assert defects.has_sparse_through(g, v, k, s) == (s <= top), (g, v, k, s)
+
+
+@st.composite
+def seeded_searches(draw):
+    """A graph of order 1..14, a defect k and a k-sparse seed set of one
+    or more vertices, grown in a random vertex order."""
+    g = draw(st.one_of(random_graphs(14), twin_rich_graphs()).filter(lambda g: g.n >= 1))
+    k = draw(st.integers(0, 3))
+    order = draw(st.permutations(range(g.n)))
+    chosen = 0
+    for v in order[:draw(st.integers(1, g.n))]:
+        if _can_add_oracle(g.adj, v, chosen, k):
+            chosen |= 1 << v
+    return g, k, chosen
+
+
+# Two non-adjacent chosen vertices a, b with room for two more neighbours
+# each, and three candidates adjacent to both: a caps them at two, and b
+# claims none of them, so the bound is 2 + 3 - 1 = 4.  Counting the three
+# toward b's cap as well gives 3, and a floor of 3 then hides {a, b, x, y}.
+@example((make_graph(5, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]), 2, 0b11))
+@settings(max_examples=200, deadline=None)
+@given(seeded_searches())
+def test_seeded_solver_matches_slow_oracle(case):
+    g, k, chosen = case
+    sat = mask_of(v for v in bits(chosen) if (g.adj[v] & chosen).bit_count() == k)
+    cand = mask_of(v for v in range(g.n)
+                   if not chosen >> v & 1 and _can_add_oracle(g.adj, v, chosen, k))
+    for floor in range(g.n + 1):
+        for stop in (None, *range(g.n + 1)):
+            fast = defects._bnb_sparse(g.adj, cand, k, floor, 0, stop, chosen, sat)
+            slow = _bnb_sparse_oracle(g.adj, cand, k, floor, 0, stop, chosen)
+            assert fast == slow, (g, k, chosen, floor, stop)
 
 
 @settings(max_examples=150, deadline=None)
